@@ -35,7 +35,6 @@ pub const REQUIRED_GROUPS: &[&str] = &[
     "prefetchers",
     "dsm",
     "sweep",
-    "parallel_replay",
     "trace_plane",
 ];
 
@@ -392,7 +391,7 @@ mod tests {
         for (group, bench) in [
             ("stream_queue", "pop_agreed_2way"),
             ("dsm", "read_write_pair"),
-            ("sweep", "streamed_replay_db2"),
+            ("sweep", "stored_replay_db2"),
         ] {
             let m = doc
                 .get("groups")
@@ -497,16 +496,16 @@ mod tests {
         let mut old_entries: Vec<(&str, f64)> =
             SENTINEL_KERNELS.iter().map(|s| (*s, 100.0)).collect();
         old_entries.push(("dsm/read_write_pair", 100.0));
-        old_entries.push(("sweep/streamed_replay_db2", 100.0));
+        old_entries.push(("sweep/stored_replay_db2", 100.0));
         old_entries.push(("directory/x", 100.0));
         let mut new_entries: Vec<(&str, f64)> =
             SENTINEL_KERNELS.iter().map(|s| (*s, 200.0)).collect();
         new_entries.push(("dsm/read_write_pair", 300.0));
-        new_entries.push(("sweep/streamed_replay_db2", 200.0));
+        new_entries.push(("sweep/stored_replay_db2", 200.0));
         new_entries.push(("directory/x", 500.0));
 
         let report = compare(&doc_of(&old_entries), &doc_of(&new_entries)).unwrap();
-        let flagged = regressions(&report, 1.15, &["dsm", "sweep/streamed_replay_db2"]);
+        let flagged = regressions(&report, 1.15, &["dsm", "sweep/stored_replay_db2"]);
         assert_eq!(flagged.len(), 1, "flagged: {flagged:?}");
         assert!(flagged[0].starts_with("dsm/read_write_pair"), "{flagged:?}");
         // Unscoped, the out-of-watchlist regression is caught too —
@@ -539,7 +538,6 @@ mod tests {
                 "prefetchers" => ("prefetchers/stride_on_miss", 1.0),
                 "dsm" => ("dsm/x", 1.0),
                 "sweep" => ("sweep/x", 1.0),
-                "parallel_replay" => ("parallel_replay/scaled_db2_seq", 1.0),
                 _ => ("trace_plane/x", 1.0),
             }
         }));

@@ -1,34 +1,23 @@
-//! Sweep-executor and replay-path benchmarks: the cost of dispatching a
+//! Sweep-executor and replay benchmarks: the cost of dispatching a
 //! batch through the persistent [`SweepPool`] and of replaying a stored
-//! trace — materialized vs. streamed off TSB1 bytes.
+//! trace through the batched kernel.
 
 use criterion::{black_box, Criterion};
-use std::io::Cursor;
 use std::sync::OnceLock;
-use tse_sim::{
-    run_parallel, run_trace_stored, run_trace_stored_par, run_trace_streamed, EngineKind,
-    RunConfig, StoredTrace, SweepPool,
-};
-use tse_types::{Parallelism, TseConfig};
+use tse_sim::{run_parallel, run_trace_stored, EngineKind, RunConfig, StoredTrace, SweepPool};
+use tse_types::TseConfig;
 use tse_workloads::{OltpFlavor, Tpcc};
 
 /// Registers every sweep benchmark on `c`.
 pub fn all(c: &mut Criterion) {
     bench_pool(c);
     bench_replay(c);
-    bench_parallel_replay(c);
 }
 
-/// One shared small Tpcc trace (a few TSB1 blocks), both materialized
-/// and encoded.
-fn db2_trace() -> &'static (StoredTrace, Vec<u8>) {
-    static TRACE: OnceLock<(StoredTrace, Vec<u8>)> = OnceLock::new();
-    TRACE.get_or_init(|| {
-        let t = StoredTrace::from_workload(&Tpcc::scaled(OltpFlavor::Db2, 0.1), 42);
-        let mut cur = Cursor::new(Vec::new());
-        t.save_tsb1(&mut cur).expect("in-memory save");
-        (t, cur.into_inner())
-    })
+/// One shared small Tpcc trace (a few TSB1 blocks' worth of records).
+fn db2_trace() -> &'static StoredTrace {
+    static TRACE: OnceLock<StoredTrace> = OnceLock::new();
+    TRACE.get_or_init(|| StoredTrace::from_workload(&Tpcc::scaled(OltpFlavor::Db2, 0.1), 42))
 }
 
 fn tse_cfg() -> RunConfig {
@@ -60,9 +49,9 @@ pub fn bench_pool(c: &mut Criterion) {
     g.finish();
 }
 
-/// Replay of the same trace, materialized vs. streamed.
+/// Replay of an in-memory trace through the batched kernel.
 pub fn bench_replay(c: &mut Criterion) {
-    let (stored, bytes) = db2_trace();
+    let stored = db2_trace();
     let mut g = c.benchmark_group("sweep");
     g.bench_function("stored_replay_db2", |b| {
         b.iter(|| {
@@ -70,50 +59,5 @@ pub fn bench_replay(c: &mut Criterion) {
             black_box(r.engine.covered)
         });
     });
-    g.bench_function("streamed_replay_db2", |b| {
-        b.iter(|| {
-            let r = run_trace_streamed("DB2", Cursor::new(&bytes[..]), &tse_cfg())
-                .expect("streamed replay");
-            black_box(r.engine.covered)
-        });
-    });
-    g.finish();
-}
-
-/// One shared full-scale Tpcc trace (~280K records, several 64Ki-record
-/// epochs) for the epoch-parallel macro benchmark.
-fn db2_macro_trace() -> &'static StoredTrace {
-    static TRACE: OnceLock<StoredTrace> = OnceLock::new();
-    TRACE.get_or_init(|| StoredTrace::from_workload(&Tpcc::scaled(OltpFlavor::Db2, 1.0), 42))
-}
-
-/// Epoch-parallel replay of the scaled Db2 trace against the sequential
-/// kernel: the wall-clock side of the determinism contract
-/// (`tests/parallel_equivalence.rs` holds the bit-identity side). The
-/// speedup of `scaled_db2_par{2,4}t` over `scaled_db2_seq` tracks the
-/// machine's core count — on a single-core runner the parallel rows
-/// instead measure the scheduler's overhead ceiling.
-pub fn bench_parallel_replay(c: &mut Criterion) {
-    let trace = db2_macro_trace();
-    let mut g = c.benchmark_group("parallel_replay");
-    g.bench_function("scaled_db2_seq", |b| {
-        b.iter(|| {
-            let r = run_trace_stored(trace, &tse_cfg()).expect("replay");
-            black_box(r.engine.covered)
-        });
-    });
-    for (name, threads) in [
-        ("scaled_db2_par1t", 1usize),
-        ("scaled_db2_par2t", 2),
-        ("scaled_db2_par4t", 4),
-    ] {
-        g.bench_function(name, |b| {
-            b.iter(|| {
-                let r = run_trace_stored_par(trace, &tse_cfg(), Parallelism::new(threads))
-                    .expect("parallel replay");
-                black_box(r.engine.covered)
-            });
-        });
-    }
     g.finish();
 }

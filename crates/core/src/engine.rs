@@ -31,15 +31,8 @@ pub struct SvbHit {
 /// queues, and the lookup maps that keep the per-miss and per-hit paths
 /// O(1) instead of scanning every queue.
 ///
-/// This is the engine-side analogue of `tse_memsim::NodeState`: every
-/// per-node component lives in exactly one of these, so the engine is
-/// *partitionable* along the node axis. Note that unlike the DSM's
-/// node caches, engine nodes are **not** detached during epoch-parallel
-/// replay: stream launches read *other* nodes' CMOBs, and the SVB and
-/// queues mutate on merge-ordered events (stream fetches, directory
-/// invalidations), so their evolution is inherently interleave-ordered
-/// — the merge drives them sequentially via
-/// [`TemporalStreamingEngine::advance_block_outcomes`].
+/// Every per-node component lives in exactly one of these, mirroring
+/// the DSM's per-node cache state.
 #[derive(Debug)]
 struct EngineNode {
     cmob: Cmob,
@@ -397,81 +390,8 @@ impl TemporalStreamingEngine {
         spin_misses
     }
 
-    /// [`TemporalStreamingEngine::advance_block`] for epoch-parallel
-    /// (detached) replay: the node-local cache work already ran in
-    /// phase A, so instead of probing, each position's outcome byte
-    /// (`tse_memsim::epoch::outcome`) says how the run head resolved.
-    /// Only the shared-plane half executes here, in global interleave
-    /// order — writes via [`DsmSystem::write_resolved`], misses via the
-    /// identical SVB/dispatch sequence — so engine state, statistics
-    /// and the `is_spin` call sequence evolve exactly as in
-    /// `advance_block`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn advance_block_outcomes(
-        &mut self,
-        dsm: &mut DsmSystem,
-        ops: &[u8],
-        nodes: &[u16],
-        lines: &[u64],
-        outcomes: &[u8],
-        all_reads: bool,
-        spin_filtering: bool,
-        is_spin: &mut dyn FnMut(NodeId, Line) -> bool,
-    ) -> u64 {
-        use tse_memsim::epoch::outcome;
-        debug_assert!(
-            ops.len() == nodes.len() && ops.len() == lines.len() && ops.len() == outcomes.len()
-        );
-        let mut spin_misses = 0u64;
-        let mut i = 0usize;
-        while i < ops.len() {
-            let node = NodeId::new(nodes[i]);
-            let line = Line::new(lines[i]);
-            if ops[i] & OP_WRITE != 0 {
-                dsm.write_resolved(node, line, outcomes[i] == outcome::WRITE_HAD);
-                self.write(dsm, line);
-                i += 1;
-                continue;
-            }
-            // Maximal same-node same-line read run starting at `i` —
-            // identical boundaries to advance_block (and to the phase-A
-            // walk that produced the outcome bytes).
-            let mut j = i + 1;
-            while j < ops.len()
-                && ops[j] & OP_WRITE == 0
-                && nodes[j] == nodes[i]
-                && lines[j] == lines[i]
-            {
-                j += 1;
-            }
-            debug_assert!(
-                matches!(
-                    outcomes[i],
-                    outcome::HIT_L1 | outcome::HIT_L2 | outcome::MISS
-                ),
-                "read head without a read outcome"
-            );
-            if outcomes[i] == outcome::MISS
-                && self.demand_read(dsm, node, line, Cycle::ZERO).is_none()
-            {
-                spin_misses += self.handle_uncovered_read(
-                    dsm,
-                    node,
-                    line,
-                    ops[i] & OP_SPIN != 0,
-                    all_reads,
-                    spin_filtering,
-                    is_spin,
-                );
-            }
-            i = j;
-        }
-        spin_misses
-    }
-
-    /// The dispatch of a read that missed hierarchy and SVB, shared by
-    /// the sequential and outcome-driven block loops: classify via the
-    /// directory, then route to the spin / consumption / observation
+    /// The dispatch of a read that missed hierarchy and SVB: classify
+    /// via the directory, then route to the spin / consumption / observation
     /// arm with the interpretive loop's exact short-circuit order.
     /// Returns 1 if the miss was spin-filtered.
     #[allow(clippy::too_many_arguments)]

@@ -38,7 +38,7 @@ USAGE:
       referenced trace's digest so workers refuse drifted bytes
   sweepctl run --plan <plan.json> --shard <i> --corpus <dir> --out <bundle.json>
       execute one shard against a local corpus (digest-verified before
-      replay, traces streamed) and write the result bundle
+      replay, traces memory-mapped) and write the result bundle
   sweepctl merge --plan <plan.json> --out <merged.json> [--partial] <bundle.json>...
       merge result bundles into the plan's full grid, in cell order;
       rejects duplicate/missing cells and version or split mismatches.

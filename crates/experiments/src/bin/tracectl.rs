@@ -15,24 +15,26 @@
 //! else = JSONL).
 //!
 //! Exit codes are scriptable (see `tse_experiments::cli`): `2` usage
-//! errors, `3` I/O/format/replay failures, `4` corpus verification
-//! failures — CI asserts a corrupted corpus fails with `4`.
+//! errors (including any flag a subcommand does not read), `3`
+//! I/O/format/replay failures, `4` corpus verification failures — CI
+//! asserts a corrupted corpus fails with `4`.
 
 use std::collections::HashSet;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use tse_experiments::cli::{self, opt, parse, positional, CliError};
+use std::sync::Arc;
+use tse_experiments::cli::{self, check_flags, opt, parse, positional, CliError};
 use tse_experiments::grid;
 use tse_experiments::ExperimentCtx;
 use tse_sim::{
-    mapped_node_count, run_parallel, run_trace_mapped_par, run_trace_stored, run_trace_stored_par,
-    run_trace_streamed_reader, tsb1_node_count, EngineKind, RunConfig, StoredTrace,
+    mapped_node_count, run_parallel, run_trace_mapped, run_trace_stored, EngineKind, RunConfig,
+    StoredTrace,
 };
 use tse_sweepd::sync::{self, SyncError};
 use tse_trace::corpus::{digest_file, sweep_retained, Corpus, CorpusWriter, TraceEntry};
-use tse_trace::store::{is_tsb1, TraceReader, TraceWriter};
+use tse_trace::store::{is_tsb1, MappedTrace, TraceReader, TraceWriter};
 use tse_trace::{interleave, read_jsonl, write_jsonl, AccessRecord};
 use tse_types::{SystemConfig, TseConfig};
 use tse_workloads::{suite_specs, workload_by_name, SuiteSpec, SUITE_ORDER};
@@ -49,10 +51,10 @@ USAGE:
       re-encode a trace; formats: .tsb1/.tsb = TSB1 binary, else JSONL
       (input format is sniffed, not extension-derived; --nodes declares
       a node count when the input carries none, e.g. JSONL)
-  tracectl replay <path> [--engine tse|base] [--lookahead <n>] [--nodes <n>] [--threads <n>]
-      replay a stored trace through the trace-driven harness.
-      --threads > 1 replays epoch-parallel (bit-identical to
-      sequential; 0 = one thread per core; default 1 = sequential)
+  tracectl replay <path> [--engine tse|base] [--lookahead <n>] [--nodes <n>]
+      replay a stored trace through the trace-driven harness (TSB1
+      traces replay off a memory mapping; --nodes, or a JSONL input,
+      loads the records into memory instead)
   tracectl corpus gen --dir <d> [--scales <f,..>] [--seeds <n,..>] [--workloads <w,..>]
       generate a managed suite of traces (every scale x seed x workload)
       into <d> with a digest-carrying manifest the figure sweeps can
@@ -81,8 +83,8 @@ USAGE:
       drop every trace no figure grid references (at the manifest's
       scales, under the current TSE_SEEDS) and rewrite the manifest
 
-EXIT CODES: 0 ok, 2 usage error, 3 I/O or replay failure, 4 corpus
-verification failure
+EXIT CODES: 0 ok, 2 usage error (including an unknown flag), 3 I/O or
+replay failure, 4 corpus verification failure
 ";
 
 fn main() -> ExitCode {
@@ -190,6 +192,7 @@ fn read_records(path: &str) -> Result<(Vec<AccessRecord>, Option<u16>), CliError
 }
 
 fn cmd_gen(args: &[String]) -> Result<(), CliError> {
+    check_flags(args, &["--workload", "--out", "--scale", "--seed"], &[])?;
     let name = opt(args, "--workload")?
         .ok_or_else(|| CliError::usage(format!("gen needs --workload\n\n{USAGE}")))?;
     let out = opt(args, "--out")?
@@ -229,6 +232,7 @@ fn cmd_gen(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_inspect(args: &[String]) -> Result<(), CliError> {
+    check_flags(args, &[], &[])?;
     let path = positional(args, 0, "trace path", USAGE)?;
     let bytes = std::fs::metadata(path)
         .map_err(|e| CliError::io(format!("cannot stat {path}: {e}")))?
@@ -278,6 +282,7 @@ fn cmd_inspect(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_convert(args: &[String]) -> Result<(), CliError> {
+    check_flags(args, &["--nodes"], &[])?;
     let input = positional(args, 0, "input path", USAGE)?;
     let output = positional(args, 1, "output path", USAGE)?;
     let (recs, declared) = read_records(input)?;
@@ -296,6 +301,7 @@ fn cmd_convert(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_replay(args: &[String]) -> Result<(), CliError> {
+    check_flags(args, &["--engine", "--lookahead", "--nodes"], &[])?;
     let path = positional(args, 0, "trace path", USAGE)?;
     let engine = match opt(args, "--engine")? {
         None | Some("tse") => {
@@ -319,13 +325,6 @@ fn cmd_replay(args: &[String]) -> Result<(), CliError> {
         Some(v) => Some(parse(v, "--nodes")?),
         None => None,
     };
-    // 1 = sequential kernel (the default), N > 1 = epoch-parallel
-    // replay with N phase-A workers, 0 = one worker per core. Results
-    // are bit-identical across all values.
-    let par = tse_types::Parallelism::new(match opt(args, "--threads")? {
-        Some(v) => parse(v, "--threads")?,
-        None => 1,
-    });
     // Simulate a machine of the trace's size (near-square torus), not
     // the paper's fixed 16-node default.
     let machine = |nodes: usize| -> Result<SystemConfig, CliError> {
@@ -340,12 +339,12 @@ fn cmd_replay(args: &[String]) -> Result<(), CliError> {
                 .map_err(|e| CliError::io(format!("no valid machine for {nodes} nodes: {e}")))
         }
     };
-    let r = if sniff_tsb1(path)? && nodes_override.is_none() && !par.is_sequential() {
-        // Epoch-parallel TSB1 replay runs off a shared mapping: decode
-        // fans out on the pool while phase-A workers own the node
-        // shards.
-        let trace =
-            std::sync::Arc::new(tse_trace::store::MappedTrace::open(path).map_err(CliError::io)?);
+    let r = if sniff_tsb1(path)? && nodes_override.is_none() {
+        // TSB1 replays off a shared mapping: blocks decode on pool
+        // workers ahead of the consumer and the trace is never
+        // materialized in memory. The machine is sized from the same
+        // mapping the replay reads.
+        let trace = Arc::new(MappedTrace::open(path).map_err(CliError::io)?);
         let cfg = RunConfig {
             engine,
             sys: machine(mapped_node_count(&trace))?,
@@ -355,25 +354,7 @@ fn cmd_replay(args: &[String]) -> Result<(), CliError> {
             .file_stem()
             .map(|s| s.to_string_lossy().into_owned())
             .unwrap_or_else(|| "trace".to_string());
-        run_trace_mapped_par(name, trace, &cfg, par).map_err(CliError::io)?
-    } else if sniff_tsb1(path)? && nodes_override.is_none() {
-        // TSB1 replays streamed: blocks decode on pool workers ahead of
-        // the consumer and the trace is never materialized in memory.
-        let file = std::fs::File::open(path).map_err(CliError::io)?;
-        let reader = TraceReader::open(std::io::BufReader::new(file)).map_err(CliError::io)?;
-        // Size the machine exactly the way the replay derives it, then
-        // hand the same reader over — the header and trailer are
-        // parsed once.
-        let cfg = RunConfig {
-            engine,
-            sys: machine(tsb1_node_count(&reader))?,
-            ..RunConfig::default()
-        };
-        let name = Path::new(path)
-            .file_stem()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "trace".to_string());
-        run_trace_streamed_reader(name, reader, &cfg).map_err(CliError::io)?
+        run_trace_mapped(name, trace, &cfg).map_err(CliError::io)?
     } else {
         let (recs, declared) = read_records(path)?;
         let nodes = nodes_override
@@ -387,11 +368,7 @@ fn cmd_replay(args: &[String]) -> Result<(), CliError> {
             sys: machine(trace.nodes())?,
             ..RunConfig::default()
         };
-        if par.is_sequential() {
-            run_trace_stored(&trace, &cfg).map_err(CliError::io)?
-        } else {
-            run_trace_stored_par(&trace, &cfg, par).map_err(CliError::io)?
-        }
+        run_trace_stored(&trace, &cfg).map_err(CliError::io)?
     };
     println!(
         "{} [{}]: {} measured records, {} consumptions, coverage {:.1}%, discards {:.1}%, {} spin misses",
@@ -423,6 +400,7 @@ fn list_opt<T: std::str::FromStr>(
 }
 
 fn cmd_corpus_gen(args: &[String]) -> Result<(), CliError> {
+    check_flags(args, &["--dir", "--scales", "--seeds", "--workloads"], &[])?;
     let dir = opt(args, "--dir")?
         .ok_or_else(|| CliError::usage(format!("corpus gen needs --dir\n\n{USAGE}")))?;
     let scales: Vec<f64> = list_opt(args, "--scales", vec![0.1])?;
@@ -525,6 +503,7 @@ fn cmd_corpus_gen(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_corpus_list(args: &[String]) -> Result<(), CliError> {
+    check_flags(args, &[], &[])?;
     let dir = positional(args, 0, "corpus directory", USAGE)?;
     let corpus = Corpus::open(dir).map_err(CliError::io)?;
     println!(
@@ -543,6 +522,7 @@ fn cmd_corpus_list(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_corpus_add(args: &[String]) -> Result<(), CliError> {
+    check_flags(args, &["--dir", "--workload", "--scale", "--seed"], &[])?;
     let dir = opt(args, "--dir")?
         .ok_or_else(|| CliError::usage(format!("corpus add needs --dir\n\n{USAGE}")))?;
     let name = opt(args, "--workload")?
@@ -617,6 +597,7 @@ fn cmd_corpus_add(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_corpus_gc(args: &[String]) -> Result<(), CliError> {
+    check_flags(args, &["--dir"], &[])?;
     let dir = opt(args, "--dir")?
         .ok_or_else(|| CliError::usage(format!("corpus gc needs --dir\n\n{USAGE}")))?;
     let mut writer = CorpusWriter::open(dir).map_err(CliError::io)?;
@@ -671,6 +652,7 @@ fn cmd_corpus_gc(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_corpus_verify(args: &[String]) -> Result<(), CliError> {
+    check_flags(args, &[], &["--quick"])?;
     let quick = cli::flag(args, "--quick");
     let dir = cli::positionals_excluding(args, &["--quick"])
         .first()
@@ -706,6 +688,7 @@ fn cmd_corpus_verify(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_corpus_sync(args: &[String]) -> Result<(), CliError> {
+    check_flags(args, &["--dir"], &["--push"])?;
     let endpoint_spec = cli::positionals_excluding(args, &["--push"])
         .first()
         .map(|s| s.as_str())

@@ -153,3 +153,46 @@ fn sweepctl_plan_write_fault_exits_3() {
     assert_eq!(out.status.code(), Some(3), "{out:?}");
     assert!(!plan.exists(), "faulted plan write must not land");
 }
+
+#[test]
+fn retired_and_unknown_flags_exit_2_without_running() {
+    let scratch = ScratchDir::new("flags");
+    let trace = scratch.0.join("em3d.tsb1");
+    let trace = trace.display().to_string();
+    let out = tracectl(
+        &[
+            "gen",
+            "--workload",
+            "em3d",
+            "--scale",
+            "0.02",
+            "--out",
+            &trace,
+        ],
+        &[],
+    );
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+
+    // The control: every flag replay reads is accepted.
+    let out = tracectl(
+        &["replay", &trace, "--engine", "tse", "--lookahead", "8"],
+        &[],
+    );
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+
+    // `--threads` was retired with epoch-parallel replay: old scripts
+    // must fail loudly, not be served sequential output as if the flag
+    // had been honoured. A typo'd flag is the same usage error.
+    for bad in [
+        vec!["replay", &trace, "--threads", "2"],
+        vec!["replay", &trace, "--lokahead", "8"],
+        vec!["inspect", &trace, "--verbose"],
+        vec!["corpus", "verify", scratch.0.to_str().unwrap(), "--quik"],
+    ] {
+        let out = tracectl(&bad, &[]);
+        assert_eq!(out.status.code(), Some(2), "{bad:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "{bad:?} must not run: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown flag"), "{bad:?}: {stderr}");
+    }
+}

@@ -39,7 +39,6 @@
 
 mod cache;
 mod directory;
-pub mod epoch;
 mod linemap;
 mod stats;
 mod system;
@@ -48,8 +47,5 @@ pub use cache::SetAssocCache;
 pub use directory::{DirState, Directory, DirectoryEntry, ReadFill, WriteGrant};
 pub use linemap::LineMap;
 pub use stats::MemStats;
-pub use system::{
-    CoherencePlane, DsmSystem, FillPath, HitLevel, MissClass, MissInfo, NodeCaches, NodeState,
-    ReadOutcome, WriteOutcome,
-};
+pub use system::{DsmSystem, FillPath, HitLevel, MissClass, MissInfo, ReadOutcome, WriteOutcome};
 pub use tse_types::{FastHashMap, FastHashSet, FastHasher};

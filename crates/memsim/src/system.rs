@@ -1,19 +1,13 @@
 //! The DSM system model: per-node cache hierarchies + directory protocol.
 //!
 //! The model is split along the axis the paper's machine is built on:
-//! everything a node owns privately lives in [`NodeState`] (the L1/L2
-//! caches and MRU way hints of [`NodeCaches`], plus the seen-version
-//! map), and everything nodes serialize through lives in the shared
-//! [`CoherencePlane`] (directory, traffic accounting, miss ordering).
-//! [`DsmSystem`] is a facade over the two: sequential callers drive it
-//! exactly as before, while the epoch-parallel replay driver detaches
-//! the per-node caches ([`DsmSystem::detach_nodes`]) onto worker
-//! threads and replays only the shared-plane half here, against a
-//! residency shadow (see the [`epoch`](crate::epoch) module docs for
-//! the protocol).
+//! everything a node owns privately lives in a per-node `NodeState`
+//! (the L1/L2 caches and MRU way hints of `NodeCaches`, plus the
+//! seen-version map), and everything nodes serialize through lives in
+//! the shared `CoherencePlane` (directory, traffic accounting, miss
+//! ordering). [`DsmSystem`] is the facade over the two.
 
-use crate::epoch::{outcome, ProbeDelta};
-use crate::{Directory, FastHashMap, FastHashSet, MemStats, SetAssocCache};
+use crate::{Directory, FastHashMap, MemStats, SetAssocCache};
 use std::collections::hash_map::Entry;
 use tse_interconnect::{Torus, Traffic, TrafficClass, TrafficScratch};
 use tse_types::{ConfigError, Line, NodeId, SystemConfig, LINE_BYTES};
@@ -116,21 +110,16 @@ pub struct WriteOutcome {
 
 /// The pure-cache half of one node: its L1/L2 hierarchy plus the
 /// last-hit way hints that accelerate probes (see
-/// [`SetAssocCache::get_hinted`]).
-///
-/// **Hint node-locality invariant.** The hints live *inside*
-/// `NodeCaches`, so they are owned by whoever owns the node's caches —
-/// the facade in sequential operation, exactly one epoch-replay worker
-/// while detached — and can never leak across workers. The caches are
-/// also *pure* with respect to hints: `get_hinted` produces identical
-/// observable state for any hint value, so locality is an ownership and
-/// performance property, never a correctness dependency.
+/// [`SetAssocCache::get_hinted`]). The caches are *pure* with respect
+/// to hints: `get_hinted` produces identical observable state for any
+/// hint value, so the hints are a performance property, never a
+/// correctness dependency.
 #[derive(Debug)]
-pub struct NodeCaches {
-    pub(crate) l1: SetAssocCache<u64>,
-    pub(crate) l2: SetAssocCache<u64>,
-    pub(crate) l1_hint: usize,
-    pub(crate) l2_hint: usize,
+struct NodeCaches {
+    l1: SetAssocCache<u64>,
+    l2: SetAssocCache<u64>,
+    l1_hint: usize,
+    l2_hint: usize,
 }
 
 impl NodeCaches {
@@ -142,121 +131,12 @@ impl NodeCaches {
             l2_hint: usize::MAX,
         })
     }
-
-    /// A minimal stand-in left in the facade while the real caches are
-    /// detached. Never probed (the facade's probe paths assert against
-    /// detached use); it only keeps the slot non-optional so the
-    /// sequential hot paths stay branch-free.
-    fn placeholder() -> Self {
-        NodeCaches {
-            l1: SetAssocCache::new(LINE_BYTES as usize, 1).expect("1x1 cache is valid"),
-            l2: SetAssocCache::new(LINE_BYTES as usize, 1).expect("1x1 cache is valid"),
-            l1_hint: usize::MAX,
-            l2_hint: usize::MAX,
-        }
-    }
-
-    // --------------------------------------------------------------
-    // Phase-A (node-local) operations for epoch-parallel replay.
-    //
-    // Each method reproduces the exact cache-state evolution of the
-    // corresponding sequential path. Cache *metadata* (the directory
-    // version) is stored as 0 throughout: the simulator never
-    // observably reads it back (probes ignore the value; the one
-    // sequential read is a debug assertion), so tags, LRU stamps and
-    // tick evolution — the observable state — match bit for bit.
-    // --------------------------------------------------------------
-
-    /// Phase-A probe of a run-head read: the node-local half of
-    /// [`DsmSystem::read`] / `probe_local`.
-    ///
-    /// On a miss the hierarchy is filled *unconditionally*, because
-    /// every sequential miss path fills both levels at this position
-    /// with identical cache effects — `read_miss` via
-    /// `fill_hierarchy_absent` (`insert_absent`), and SVB / prefetch
-    /// buffer hits via `install` → `fill_hierarchy` (`insert`, which on
-    /// an absent line advances the tick and places exactly as
-    /// `insert_absent` does). Returns the outcome byte plus the L2
-    /// victim, if the fill evicted one, for the merge journal.
-    pub fn probe_read(&mut self, line: Line, delta: &mut ProbeDelta) -> (u8, Option<Line>) {
-        delta.reads += 1;
-        if self.l1.get_hinted(line, &mut self.l1_hint).is_some() {
-            delta.l1_hits += 1;
-            return (outcome::HIT_L1, None);
-        }
-        if self.l2.get_hinted(line, &mut self.l2_hint).is_some() {
-            delta.l2_hits += 1;
-            // Inclusive fill into L1, as probe_local does on an L2 hit.
-            self.l1.insert_absent(line, 0);
-            return (outcome::HIT_L2, None);
-        }
-        let victim = self.l2.insert_absent(line, 0).map(|(v, _)| v);
-        self.l1.insert_absent(line, 0);
-        (outcome::MISS, victim)
-    }
-
-    /// Phase-A booking of a run's collapsed tail: the node-local half
-    /// of [`DsmSystem::probe_repeat`] (equivalently the tail of
-    /// [`DsmSystem::read_repeat`]). The line is resident and MRU in the
-    /// L1 after the head's probe or fill.
-    pub fn repeat_reads(&mut self, line: Line, count: u64, delta: &mut ProbeDelta) {
-        debug_assert!(count > 0, "repeat_reads of zero reads");
-        delta.reads += count;
-        delta.l1_hits += count;
-        let hit = self.l1.get_repeat(line, &mut self.l1_hint, count);
-        debug_assert!(hit.is_some(), "repeat_reads of a line absent from L1");
-    }
-
-    /// Phase-A cache effect of the node's own write: the node-local
-    /// half of [`DsmSystem::write`].
-    ///
-    /// When the L2 holds the line this restamps it MRU and refreshes
-    /// the L1 — the effect of both sequential arms (the silent-upgrade
-    /// `get_hinted` refresh and the non-silent `fill_caches`, which are
-    /// observationally identical on a resident line; silence itself is
-    /// a directory property the merge recomputes). When absent, it
-    /// fills both levels exactly as the sequential
-    /// `fill_hierarchy_absent` would, returning the L2 victim for the
-    /// merge journal.
-    pub fn local_write(&mut self, line: Line) -> (u8, Option<Line>) {
-        if self.l2.contains(line) {
-            let replaced = self.l2.insert(line, 0);
-            debug_assert!(replaced.is_none(), "resident line evicted by restamp");
-            self.l1.insert(line, 0);
-            (outcome::WRITE_HAD, None)
-        } else {
-            let victim = self.l2.insert_absent(line, 0).map(|(v, _)| v);
-            self.l1.insert_absent(line, 0);
-            (outcome::WRITE_ABSENT, victim)
-        }
-    }
-
-    /// Phase-A cache effect of *another* node's write to `line`:
-    /// invalidate any local copy.
-    ///
-    /// The sequential path invalidates exactly the nodes in the
-    /// directory's invalidation mask; phase A has no mask, but
-    /// residency implies mask membership (every fill registers the
-    /// sharer; every eviction and invalidation deregisters it), and
-    /// invalidating a non-resident line is a no-op on both sides — so
-    /// invalidating *resident* copies on every foreign write is
-    /// equivalent. L1 follows L2 by inclusion.
-    pub fn foreign_write(&mut self, line: Line) {
-        if self.l2.invalidate(line).is_some() {
-            self.l1.invalidate(line);
-        }
-    }
 }
 
-/// Everything the DSM keeps per node: the detachable cache hierarchy
-/// and the seen-version map that classifies this node's misses.
-///
-/// The seen map stays with the facade even while the caches are
-/// detached: read-miss classification, stream fetches and writes — all
-/// merge-side directory transactions — read and update it in global
-/// interleave order.
+/// Everything the DSM keeps per node: the cache hierarchy and the
+/// seen-version map that classifies this node's misses.
 #[derive(Debug)]
-pub struct NodeState {
+struct NodeState {
     caches: NodeCaches,
     /// Last directory version of each line the node held.
     /// Stays a SwissTable-backed map: these 16 tables are probed cold
@@ -265,22 +145,12 @@ pub struct NodeState {
     seen: FastHashMap<Line, u64>,
 }
 
-impl NodeState {
-    /// The node's cache hierarchy (borrow; see
-    /// [`DsmSystem::detach_nodes`] for taking ownership).
-    pub fn caches(&self) -> &NodeCaches {
-        &self.caches
-    }
-}
-
 /// The shared half of the DSM — the state every node's accesses
 /// serialize through: the full-map directory, interconnect traffic
 /// accounting and the global miss ordering. There is exactly one plane
-/// per system; the epoch-parallel merge replays all plane transactions
-/// sequentially in interleave order, which is what makes parallel
-/// replay bit-identical to the sequential kernel.
+/// per system.
 #[derive(Debug)]
-pub struct CoherencePlane {
+struct CoherencePlane {
     cfg: SystemConfig,
     torus: Torus,
     directory: Directory,
@@ -299,40 +169,15 @@ pub struct CoherencePlane {
     home_mask: Option<u64>,
 }
 
-impl CoherencePlane {
-    /// The directory (read-only view).
-    pub fn directory(&self) -> &Directory {
-        &self.directory
-    }
-
-    /// Accumulated counters.
-    pub fn stats(&self) -> &MemStats {
-        &self.stats
-    }
-
-    /// Monotonic count of directory read-miss transactions processed.
-    pub fn global_seq(&self) -> u64 {
-        self.global_seq
-    }
-}
-
 /// The simulated DSM: `nodes` processors, each with an inclusive
 /// L1/L2 hierarchy, plus a full-map directory and traffic accounting.
 ///
 /// Drive it with reads and writes in global (interleaved) order. See the
-/// crate docs for an end-to-end example. Structurally this is a facade
-/// over per-node [`NodeState`] and the shared [`CoherencePlane`]; the
-/// split only becomes visible through [`DsmSystem::detach_nodes`].
+/// crate docs for an end-to-end example.
 #[derive(Debug)]
 pub struct DsmSystem {
     nodes: Vec<NodeState>,
     plane: CoherencePlane,
-    /// `Some` while the node caches are detached for epoch-parallel
-    /// replay: per-node L2 residency sets standing in for the caches on
-    /// the merge-side paths that need residency (`peek_local`,
-    /// `drop_sharer`, write invalidation). `None` in sequential
-    /// operation.
-    shadow: Option<Vec<FastHashSet<Line>>>,
 }
 
 impl DsmSystem {
@@ -367,7 +212,6 @@ impl DsmSystem {
                 home_mask: cfg.nodes.is_power_of_two().then_some(cfg.nodes as u64 - 1),
                 cfg: cfg.clone(),
             },
-            shadow: None,
         })
     }
 
@@ -394,16 +238,6 @@ impl DsmSystem {
     /// Accumulated counters.
     pub fn stats(&self) -> &MemStats {
         &self.plane.stats
-    }
-
-    /// The shared coherence plane (read-only view).
-    pub fn plane(&self) -> &CoherencePlane {
-        &self.plane
-    }
-
-    /// One node's private state (read-only view).
-    pub fn node_state(&self, node: NodeId) -> &NodeState {
-        &self.nodes[node.index()]
     }
 
     /// Folds the batch-local scratch into the run-level accumulator.
@@ -435,83 +269,6 @@ impl DsmSystem {
     }
 
     // ------------------------------------------------------------------
-    // Detached (epoch-parallel) operation
-    // ------------------------------------------------------------------
-
-    /// Detaches every node's caches for epoch-parallel replay, leaving
-    /// the facade in *detached* mode: probe paths are forbidden
-    /// (workers run them against the returned [`NodeCaches`]), while
-    /// the directory-transaction paths keep working against a residency
-    /// shadow initialized from the current L2 contents.
-    ///
-    /// Reattach with [`DsmSystem::attach_nodes`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the system is already detached.
-    pub fn detach_nodes(&mut self) -> Vec<NodeCaches> {
-        assert!(self.shadow.is_none(), "detach_nodes on a detached system");
-        self.shadow = Some(
-            self.nodes
-                .iter()
-                .map(|ns| ns.caches.l2.iter().map(|(line, _)| line).collect())
-                .collect(),
-        );
-        self.nodes
-            .iter_mut()
-            .map(|ns| std::mem::replace(&mut ns.caches, NodeCaches::placeholder()))
-            .collect()
-    }
-
-    /// Restores detached caches, returning the facade to sequential
-    /// operation. `caches` must be the vector [`DsmSystem::detach_nodes`]
-    /// returned, in the same (node) order, after the workers replayed
-    /// exactly the records the facade merged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the system is not detached or the count mismatches.
-    pub fn attach_nodes(&mut self, caches: Vec<NodeCaches>) {
-        let shadow = self
-            .shadow
-            .take()
-            .expect("attach_nodes on an attached system");
-        assert_eq!(caches.len(), self.nodes.len(), "node count mismatch");
-        for ((ns, c), sh) in self.nodes.iter_mut().zip(caches).zip(&shadow) {
-            debug_assert_eq!(
-                c.l2.len(),
-                sh.len(),
-                "residency shadow diverged from the reattached L2"
-            );
-            ns.caches = c;
-        }
-    }
-
-    /// True while the node caches are detached.
-    pub fn is_detached(&self) -> bool {
-        self.shadow.is_some()
-    }
-
-    /// Merge-side application of a phase-A-journaled L2 eviction:
-    /// identical accounting to the sequential eviction (directory
-    /// deregistration, writeback or replacement-hint traffic), with the
-    /// cache-side invalidation already done by the worker and the
-    /// residency shadow updated here.
-    pub fn apply_eviction(&mut self, node: NodeId, victim: Line) {
-        let shadow = self.shadow.as_mut().expect("apply_eviction while attached");
-        shadow[node.index()].remove(&victim);
-        self.account_l2_eviction(node, victim);
-    }
-
-    /// Folds the counters phase A owns (see
-    /// [`ProbeDelta`](crate::epoch::ProbeDelta)) into the run stats.
-    pub fn absorb_probes(&mut self, delta: &ProbeDelta) {
-        self.plane.stats.reads += delta.reads;
-        self.plane.stats.l1_hits += delta.l1_hits;
-        self.plane.stats.l2_hits += delta.l2_hits;
-    }
-
-    // ------------------------------------------------------------------
     // Local hierarchy
     // ------------------------------------------------------------------
 
@@ -520,7 +277,6 @@ impl DsmSystem {
     /// (the caller decides whether to consult a streamed-value buffer
     /// before paying for the directory transaction).
     pub fn probe_local(&mut self, node: NodeId, line: Line) -> Option<HitLevel> {
-        debug_assert!(self.shadow.is_none(), "probe_local on a detached system");
         let c = &mut self.nodes[node.index()].caches;
         if c.l1.get_hinted(line, &mut c.l1_hint).is_some() {
             self.plane.stats.l1_hits += 1;
@@ -539,15 +295,9 @@ impl DsmSystem {
 
     /// Returns true if the node's hierarchy holds the line (no side
     /// effects). Used by the stream engine to skip fetching blocks the
-    /// consumer already has. While detached, consults the residency
-    /// shadow (L1 residency implies L2 residency by inclusion, so the
-    /// L2-only shadow answers exactly the same question).
+    /// consumer already has.
     pub fn peek_local(&self, node: NodeId, line: Line) -> bool {
-        let n = node.index();
-        if let Some(shadow) = &self.shadow {
-            return shadow[n].contains(&line);
-        }
-        let c = &self.nodes[n].caches;
+        let c = &self.nodes[node.index()].caches;
         c.l1.contains(line) || c.l2.contains(line)
     }
 
@@ -568,12 +318,6 @@ impl DsmSystem {
     /// have already updated the node's seen-version slot in place.
     fn fill_hierarchy(&mut self, node: NodeId, line: Line, version: u64) {
         let n = node.index();
-        if let Some(shadow) = &mut self.shadow {
-            // Detached: the worker performed this fill in phase A
-            // (journaling any L2 victim); only the shadow advances here.
-            shadow[n].insert(line);
-            return;
-        }
         let c = &mut self.nodes[n].caches;
         if let Some((victim, _)) = c.l2.insert(line, version) {
             self.handle_l2_eviction(node, victim);
@@ -588,11 +332,6 @@ impl DsmSystem {
     /// removes lines, so the L1 stays clear of `line` across it.
     fn fill_hierarchy_absent(&mut self, node: NodeId, line: Line, version: u64) {
         let n = node.index();
-        if let Some(shadow) = &mut self.shadow {
-            // Detached: as in fill_hierarchy, the worker already filled.
-            shadow[n].insert(line);
-            return;
-        }
         let c = &mut self.nodes[n].caches;
         if let Some((victim, _)) = c.l2.insert_absent(line, version) {
             self.handle_l2_eviction(node, victim);
@@ -603,13 +342,6 @@ impl DsmSystem {
     fn handle_l2_eviction(&mut self, node: NodeId, victim: Line) {
         // Inclusion: drop the L1 copy.
         self.nodes[node.index()].caches.l1.invalidate(victim);
-        self.account_l2_eviction(node, victim);
-    }
-
-    /// The shared-plane half of an L2 eviction — everything except the
-    /// L1 inclusion drop, which is cache-side and, in detached mode,
-    /// already done by the worker.
-    fn account_l2_eviction(&mut self, node: NodeId, victim: Line) {
         self.plane.stats.evictions += 1;
         let home = self.home_of(victim);
         let dirty = self.plane.directory.remove_node(node, victim);
@@ -688,7 +420,6 @@ impl DsmSystem {
     /// but still left the line resident and MRU in the L1.
     pub fn probe_repeat(&mut self, node: NodeId, line: Line, count: u64) {
         debug_assert!(count > 0, "probe_repeat of zero probes");
-        debug_assert!(self.shadow.is_none(), "probe_repeat on a detached system");
         self.plane.stats.reads += count;
         self.plane.stats.l1_hits += count;
         let c = &mut self.nodes[node.index()].caches;
@@ -701,7 +432,6 @@ impl DsmSystem {
     /// that intercept between [`DsmSystem::probe_local`] and
     /// [`DsmSystem::read_miss`].
     pub fn count_read(&mut self) {
-        debug_assert!(self.shadow.is_none(), "count_read on a detached system");
         self.plane.stats.reads += 1;
     }
 
@@ -835,22 +565,6 @@ impl DsmSystem {
     /// copies. Returns which nodes were invalidated so SVBs can be kept
     /// coherent.
     pub fn write(&mut self, node: NodeId, line: Line) -> WriteOutcome {
-        self.write_impl(node, line, None)
-    }
-
-    /// [`DsmSystem::write`] for detached (epoch-parallel) replay, with
-    /// the writer's L2 residency resolved by phase A
-    /// (`had_line` = the worker observed
-    /// [`outcome::WRITE_HAD`](crate::epoch::outcome::WRITE_HAD)).
-    pub fn write_resolved(&mut self, node: NodeId, line: Line, had_line: bool) -> WriteOutcome {
-        self.write_impl(node, line, Some(had_line))
-    }
-
-    fn write_impl(&mut self, node: NodeId, line: Line, resolved: Option<bool>) -> WriteOutcome {
-        debug_assert!(
-            self.shadow.is_none() || resolved.is_some(),
-            "detached write without a phase-A residency outcome"
-        );
         self.plane.stats.writes += 1;
         let n = node.index();
         // One directory transaction decides everything: a silent upgrade
@@ -863,24 +577,18 @@ impl DsmSystem {
         let grant = self.plane.directory.write_acquire(node, line);
 
         if grant.was_exclusive {
-            if self.shadow.is_none() {
-                // Silent store hit: refresh LRU (a `get` that provably
-                // hits). Detached, the worker's local_write did this.
-                let c = &mut self.nodes[n].caches;
-                let refreshed = c.l2.get_hinted(line, &mut c.l2_hint);
-                debug_assert!(refreshed.is_some(), "exclusive owner lost its L2 copy");
-                c.l1.insert(line, grant.version);
-            }
+            // Silent store hit: refresh LRU (a `get` that provably hits).
+            let c = &mut self.nodes[n].caches;
+            let refreshed = c.l2.get_hinted(line, &mut c.l2_hint);
+            debug_assert!(refreshed.is_some(), "exclusive owner lost its L2 copy");
+            c.l1.insert(line, grant.version);
             return WriteOutcome {
                 silent: true,
                 invalidated: 0,
             };
         }
 
-        let had_line = match resolved {
-            Some(had) => had,
-            None => self.nodes[n].caches.l2.contains(line),
-        };
+        let had_line = self.nodes[n].caches.l2.contains(line);
         let invalidated = grant.invalidated;
         self.plane.stats.write_transactions += 1;
         let home = self.home_of(line);
@@ -920,18 +628,10 @@ impl DsmSystem {
                 TrafficClass::Demand,
                 hdr,
             );
-            // Remove the line from the victim's hierarchy (detached:
-            // the victim's worker did, via foreign_write — residency
-            // implies mask membership, so it invalidated exactly the
-            // copies this mask names; only the shadow advances here).
-            let v = victim.index();
-            if let Some(shadow) = &mut self.shadow {
-                shadow[v].remove(&line);
-            } else {
-                let c = &mut self.nodes[v].caches;
-                c.l1.invalidate(line);
-                c.l2.invalidate(line);
-            }
+            // Remove the line from the victim's hierarchy.
+            let c = &mut self.nodes[victim.index()].caches;
+            c.l1.invalidate(line);
+            c.l2.invalidate(line);
         }
 
         if had_line {
@@ -990,7 +690,6 @@ impl DsmSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::epoch::EvictEvent;
 
     fn small_cfg() -> SystemConfig {
         SystemConfig::builder()
@@ -1270,151 +969,5 @@ mod tests {
             .build()
             .unwrap();
         assert!(DsmSystem::new(&cfg).is_err());
-    }
-
-    // ------------------------------------------------------------------
-    // Detached (epoch-parallel) operation
-    // ------------------------------------------------------------------
-
-    /// A deterministic access stream on a line pool that aliases into
-    /// one L2 set (16 KB 4-way = 64 sets; multiples of 64 all map to
-    /// set 0), so evictions, invalidations, silent upgrades and
-    /// re-reads all occur. Kinds: 0 = read, 1 = write.
-    fn lcg_ops(count: usize, seed: &mut u64) -> Vec<(NodeId, Line, bool)> {
-        let mut ops = Vec::with_capacity(count);
-        for _ in 0..count {
-            *seed = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let node = NodeId::new(((*seed >> 33) % 4) as u16);
-            let line = Line::new(((*seed >> 40) % 12) * 64);
-            let write = (*seed >> 61).is_multiple_of(4);
-            ops.push((node, line, write));
-        }
-        ops
-    }
-
-    /// Detached replay (phase A on the detached caches, shared-plane
-    /// merge on the facade) must be bit-identical to sequential replay:
-    /// same stats, traffic and global order during the run, and —
-    /// checked by replaying a second sequential stream after reattach —
-    /// the same cache, directory and seen-version state afterwards.
-    #[test]
-    fn detached_replay_matches_sequential() {
-        let mut seq = dsm();
-        let mut par = dsm();
-        let mut seed = 0x5eed;
-        let ops = lcg_ops(400, &mut seed);
-
-        // Sequential reference.
-        for &(node, line, write) in &ops {
-            if write {
-                seq.write(node, line);
-            } else {
-                seq.read(node, line);
-            }
-        }
-
-        // Phase A: one worker per node, each seeing its own reads plus
-        // every write, producing outcomes and an eviction journal.
-        let mut caches = par.detach_nodes();
-        assert!(par.is_detached());
-        let mut outcomes = vec![outcome::NONE; ops.len()];
-        let mut events: Vec<EvictEvent> = Vec::new();
-        let mut delta = ProbeDelta::default();
-        for (w, c) in caches.iter_mut().enumerate() {
-            let me = NodeId::new(w as u16);
-            for (pos, &(node, line, write)) in ops.iter().enumerate() {
-                if write {
-                    if node == me {
-                        let (out, victim) = c.local_write(line);
-                        outcomes[pos] = out;
-                        if let Some(victim) = victim {
-                            events.push(EvictEvent {
-                                pos: pos as u32,
-                                node,
-                                victim,
-                            });
-                        }
-                    } else {
-                        c.foreign_write(line);
-                    }
-                } else if node == me {
-                    let (out, victim) = c.probe_read(line, &mut delta);
-                    outcomes[pos] = out;
-                    if let Some(victim) = victim {
-                        events.push(EvictEvent {
-                            pos: pos as u32,
-                            node,
-                            victim,
-                        });
-                    }
-                }
-            }
-        }
-        events.sort_unstable_by_key(|e| e.pos);
-
-        // Merge: shared-plane transactions in global interleave order.
-        let mut next_event = 0;
-        for (pos, &(node, line, write)) in ops.iter().enumerate() {
-            while next_event < events.len() && events[next_event].pos == pos as u32 {
-                let e = events[next_event];
-                par.apply_eviction(e.node, e.victim);
-                next_event += 1;
-            }
-            if write {
-                par.write_resolved(node, line, outcomes[pos] == outcome::WRITE_HAD);
-            } else {
-                match outcomes[pos] {
-                    outcome::HIT_L1 | outcome::HIT_L2 => {}
-                    outcome::MISS => {
-                        par.read_miss(node, line);
-                    }
-                    other => panic!("read position without a read outcome: {other}"),
-                }
-            }
-        }
-        assert_eq!(next_event, events.len(), "unapplied eviction events");
-        par.absorb_probes(&delta);
-        par.attach_nodes(caches);
-        assert!(!par.is_detached());
-
-        assert_eq!(seq.stats(), par.stats(), "stats diverged");
-        assert_eq!(seq.global_seq(), par.global_seq());
-        assert_eq!(
-            seq.traffic().report(),
-            par.traffic().report(),
-            "traffic diverged"
-        );
-
-        // The reattached system must be in the same observable state:
-        // every subsequent access resolves identically.
-        for (node, line, write) in lcg_ops(200, &mut seed) {
-            if write {
-                assert_eq!(seq.write(node, line), par.write(node, line));
-            } else {
-                assert_eq!(seq.read(node, line), par.read(node, line));
-            }
-        }
-        assert_eq!(seq.stats(), par.stats(), "post-reattach stats diverged");
-    }
-
-    #[test]
-    fn detach_attach_round_trip_preserves_state() {
-        let mut d = dsm();
-        let mut seed = 7;
-        for (node, line, write) in lcg_ops(100, &mut seed) {
-            if write {
-                d.write(node, line);
-            } else {
-                d.read(node, line);
-            }
-        }
-        let before = *d.stats();
-        let caches = d.detach_nodes();
-        // Shadow answers residency exactly as the caches did.
-        assert!(d.peek_local(NodeId::new(0), Line::new(0)) || !caches[0].l2.contains(Line::new(0)));
-        d.attach_nodes(caches);
-        assert_eq!(*d.stats(), before);
     }
 }

@@ -51,9 +51,8 @@ pub(crate) const BLOCK_RECORDS: usize = tse_trace::store::DEFAULT_BLOCK_LEN as u
 
 /// A supplier of record blocks in global trace order.
 ///
-/// The kernel pulls blocks until `None`; sources that can fail
-/// (streamed/mapped TSB1 decode) report errors out of band and end the
-/// stream early, exactly as their former `Iterator` impls did.
+/// The kernel pulls blocks until `None`; sources that can fail (mapped
+/// TSB1 decode) report errors out of band and end the stream early.
 pub(crate) trait BlockSource {
     /// The next block of records, or `None` at end of stream (or after
     /// a source error).
@@ -132,8 +131,8 @@ pub(crate) fn run_end(ops: &[u8], nodes: &[u16], lines: &[u64], i: usize) -> usi
 }
 
 /// The batched replay core: pulls blocks, lowers them, and executes
-/// each through the engine-specific slice loop. All four trace-driven
-/// entry points (generate, stored, streamed, mapped) route here.
+/// each through the engine-specific slice loop. All three trace-driven
+/// entry points (generate, stored, mapped) route here.
 pub(crate) fn run_blocks(
     name: &str,
     trace_nodes: usize,

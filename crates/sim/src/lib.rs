@@ -15,10 +15,15 @@
 //! [`Samples`] statistics with 95% confidence intervals, a parallel
 //! sweep driver ([`run_parallel`]), and stored-trace replay for *both*
 //! methodologies ([`StoredTrace`], [`run_trace_stored`],
-//! [`run_timing_stored`], and their streamed TSB1 variants) so sweeps
-//! replay one materialized (or corpus-loaded) trace instead of
-//! regenerating the workload per grid cell — generation and replay are
-//! bit-identical by construction.
+//! [`run_timing_stored`], and their memory-mapped TSB1 variants
+//! [`run_trace_mapped`] / [`run_timing_mapped`]) so sweeps replay one
+//! materialized (or corpus-loaded) trace instead of regenerating the
+//! workload per grid cell — generation and replay are bit-identical by
+//! construction.
+//!
+//! Each replay runs sequentially on one thread through one batched
+//! kernel; sweeps parallelize across cells ([`run_parallel`],
+//! [`shard::execute_shard`]), never inside one.
 //!
 //! # Example
 //!
@@ -43,7 +48,6 @@
 mod analysis;
 mod harness;
 mod kernel;
-mod parallel;
 mod replay;
 mod runner;
 pub mod shard;
@@ -57,19 +61,15 @@ pub use harness::{run_baseline_collecting, run_trace, RunConfig, RunResult};
 #[doc(hidden)]
 pub use replay::run_trace_stored_reference;
 pub use replay::{
-    mapped_node_count, run_trace_mapped, run_trace_mapped_par, run_trace_mapped_path,
-    run_trace_mapped_path_par, run_trace_stored, run_trace_stored_par, run_trace_streamed,
-    run_trace_streamed_path, run_trace_streamed_reader, tsb1_node_count, StoredTrace,
-    StreamedReplayError,
+    mapped_node_count, run_trace_mapped, run_trace_mapped_path, run_trace_stored, ReplayError,
+    StoredTrace,
 };
 pub use runner::{run_parallel, SweepPool};
 pub use stats::Samples;
 #[doc(hidden)]
 pub use timing::run_timing_stored_reference;
 pub use timing::{
-    run_timing, run_timing_mapped, run_timing_mapped_par, run_timing_mapped_path,
-    run_timing_mapped_path_par, run_timing_stored, run_timing_stored_par, run_timing_streamed,
-    run_timing_streamed_path, run_timing_streamed_reader, TimingResult,
+    run_timing, run_timing_mapped, run_timing_mapped_path, run_timing_stored, TimingResult,
 };
 
 use serde::{Deserialize, Serialize};

@@ -9,7 +9,6 @@
 //! times as needed.
 
 use crate::kernel::{run_blocks, SliceBlocks};
-use crate::parallel::run_blocks_par;
 use crate::runner::SweepPool;
 use crate::{RunConfig, RunResult};
 use std::cell::RefCell;
@@ -18,7 +17,7 @@ use std::io::{Read, Seek, Write};
 use std::path::Path;
 use std::rc::Rc;
 use std::sync::{mpsc, Arc};
-use tse_trace::store::{decode_block, MappedTrace, RawBlock, TraceMeta, TraceReader, TraceWriter};
+use tse_trace::store::{MappedTrace, TraceMeta, TraceReader, TraceWriter};
 use tse_trace::{interleave, AccessRecord, TraceIoError};
 use tse_types::ConfigError;
 use tse_workloads::Workload;
@@ -102,7 +101,15 @@ impl StoredTrace {
         for rec in reader.by_ref() {
             records.push(rec?);
         }
-        let nodes = tsb1_node_count(&reader);
+        // The writer's declared count, else highest-emitting-node + 1
+        // from the trailer metadata, else 1 — as `mapped_node_count`.
+        let nodes = match reader.declared_nodes() {
+            Some(n) => usize::from(n),
+            None => reader
+                .meta()
+                .and_then(|m| m.nodes.last().map(|n| n.node.index() + 1))
+                .unwrap_or(1),
+        };
         // Same invariant from_records enforces: no decoded record may
         // reference a node outside 0..nodes, or the replay harness
         // would index out of bounds. A crafted trailer can satisfy the
@@ -181,21 +188,6 @@ impl StoredTrace {
     }
 }
 
-/// The node count a TSB1 reader implies, the same way every replay
-/// path derives it: the writer's declared count when the header
-/// carries one, else highest-emitting-node + 1 from the trailer
-/// metadata (available after [`TraceReader::open`] or full iteration),
-/// else 1.
-pub fn tsb1_node_count<R: Read>(reader: &TraceReader<R>) -> usize {
-    match reader.declared_nodes() {
-        Some(n) => usize::from(n),
-        None => reader
-            .meta()
-            .and_then(|m| m.nodes.last().map(|n| n.node.index() + 1))
-            .unwrap_or(1),
-    }
-}
-
 /// Replays a stored trace through the trace-driven harness.
 ///
 /// Identical semantics to [`run_trace`](crate::run_trace) — warm-up,
@@ -211,32 +203,6 @@ pub fn tsb1_node_count<R: Read>(reader: &TraceReader<R>) -> usize {
 pub fn run_trace_stored(trace: &StoredTrace, cfg: &RunConfig) -> Result<RunResult, ConfigError> {
     let mut src = SliceBlocks::new(&trace.records);
     run_blocks(&trace.name, trace.nodes, trace.records.len(), &mut src, cfg)
-}
-
-/// [`run_trace_stored`] with epoch-parallel replay: phase-A cache
-/// probes run on `par` worker threads while the shared coherence plane
-/// merges sequentially (see the `parallel` module docs). Results
-/// are **bit-identical** to [`run_trace_stored`] for every thread
-/// count; `Parallelism::sequential()` (or a single-node system) falls
-/// back to the sequential kernel outright.
-///
-/// # Errors
-///
-/// As [`run_trace_stored`].
-pub fn run_trace_stored_par(
-    trace: &StoredTrace,
-    cfg: &RunConfig,
-    par: tse_types::Parallelism,
-) -> Result<RunResult, ConfigError> {
-    let mut src = SliceBlocks::new(&trace.records);
-    run_blocks_par(
-        &trace.name,
-        trace.nodes,
-        trace.records.len(),
-        &mut src,
-        cfg,
-        par,
-    )
 }
 
 /// [`run_trace_stored`] through the record-at-a-time reference loop —
@@ -256,10 +222,10 @@ pub fn run_trace_stored_reference(
     )
 }
 
-/// Error from streamed replay: the trace was unreadable, or the run
+/// Error from file replay: the trace was unreadable, or the run
 /// configuration was rejected.
 #[derive(Debug)]
-pub enum StreamedReplayError {
+pub enum ReplayError {
     /// Reading or decoding the TSB1 source failed.
     Trace(TraceIoError),
     /// The system/engine configuration (or trace/system node-count
@@ -267,113 +233,39 @@ pub enum StreamedReplayError {
     Config(ConfigError),
 }
 
-impl std::fmt::Display for StreamedReplayError {
+impl std::fmt::Display for ReplayError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            StreamedReplayError::Trace(e) => write!(f, "trace error: {e}"),
-            StreamedReplayError::Config(e) => write!(f, "config error: {e}"),
+            ReplayError::Trace(e) => write!(f, "trace error: {e}"),
+            ReplayError::Config(e) => write!(f, "config error: {e}"),
         }
     }
 }
 
-impl std::error::Error for StreamedReplayError {
+impl std::error::Error for ReplayError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            StreamedReplayError::Trace(e) => Some(e),
-            StreamedReplayError::Config(e) => Some(e),
+            ReplayError::Trace(e) => Some(e),
+            ReplayError::Config(e) => Some(e),
         }
     }
 }
 
-impl From<TraceIoError> for StreamedReplayError {
+impl From<TraceIoError> for ReplayError {
     fn from(e: TraceIoError) -> Self {
-        StreamedReplayError::Trace(e)
+        ReplayError::Trace(e)
     }
 }
 
-impl From<ConfigError> for StreamedReplayError {
+impl From<ConfigError> for ReplayError {
     fn from(e: ConfigError) -> Self {
-        StreamedReplayError::Config(e)
+        ReplayError::Config(e)
     }
 }
 
-/// Replays a TSB1 trace through the harness *as it streams off the
-/// source*, never materializing a [`StoredTrace`].
-///
-/// Raw blocks are read sequentially and handed to the global
-/// [`SweepPool`] for decode, so decoding runs ahead of the replay
-/// consumer; blocks re-enter in trace order through a reorder window.
-/// If the pool has not finished the next block by the time the consumer
-/// needs it (or the pool is saturated by enclosing sweep jobs — the
-/// consumer never waits on pool capacity), the consumer decodes that
-/// block inline. Results are bit-identical to loading the same file
-/// into a [`StoredTrace`] and calling [`run_trace_stored`]; peak memory
-/// is a few blocks instead of the whole trace, which is what makes
-/// 10^8-record traces replayable.
-///
-/// # Errors
-///
-/// [`StreamedReplayError::Trace`] on any TSB1 structural failure
-/// (including records naming nodes outside the declared node count);
-/// [`StreamedReplayError::Config`] if the configuration is invalid or
-/// the trace's node count differs from `cfg.sys.nodes`.
-pub fn run_trace_streamed<R: Read + Seek>(
-    name: impl Into<String>,
-    src: R,
-    cfg: &RunConfig,
-) -> Result<RunResult, StreamedReplayError> {
-    run_trace_streamed_reader(name, TraceReader::open(src)?, cfg)
-}
-
-/// [`run_trace_streamed`] over an already-open [`TraceReader`]
-/// (positioned at the first block, as [`TraceReader::open`] leaves it).
-/// Callers that inspect the header/trailer before replaying — e.g. to
-/// size the simulated machine from [`tsb1_node_count`] — reuse the
-/// reader instead of re-opening and re-parsing the trace.
-///
-/// # Errors
-///
-/// As [`run_trace_streamed`].
-pub fn run_trace_streamed_reader<R: Read + Seek>(
-    name: impl Into<String>,
-    reader: TraceReader<R>,
-    cfg: &RunConfig,
-) -> Result<RunResult, StreamedReplayError> {
-    let nodes = tsb1_node_count(&reader);
-    let total = usize::try_from(reader.records()).unwrap_or(usize::MAX);
-    let error = Rc::new(RefCell::new(None));
-    let mut stream = StreamedRecords::new(reader, nodes, Rc::clone(&error));
-    let result = run_blocks(&name.into(), nodes, total, &mut stream, cfg)?;
-    // A trace error mid-stream ends the record iterator early; surface
-    // it instead of the truncated result.
-    if let Some(e) = error.borrow_mut().take() {
-        return Err(e.into());
-    }
-    Ok(result)
-}
-
-/// Streamed replay of a TSB1 file, named after the file stem.
-///
-/// # Errors
-///
-/// As [`run_trace_streamed`], plus open failures as
-/// [`StreamedReplayError::Trace`].
-pub fn run_trace_streamed_path(
-    path: impl AsRef<Path>,
-    cfg: &RunConfig,
-) -> Result<RunResult, StreamedReplayError> {
-    let path = path.as_ref();
-    let name = path
-        .file_stem()
-        .map(|s| s.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "trace".to_string());
-    let file = std::fs::File::open(path).map_err(TraceIoError::Io)?;
-    run_trace_streamed(name, std::io::BufReader::new(file), cfg)
-}
-
-/// The node count a mapped trace implies — same derivation as
-/// [`tsb1_node_count`]: the writer's declared count when the header
-/// carries one, else highest-emitting-node + 1, else 1.
+/// The node count a mapped trace implies — the same derivation
+/// [`StoredTrace::load_tsb1`] uses: the writer's declared count when the
+/// header carries one, else highest-emitting-node + 1, else 1.
 pub fn mapped_node_count(trace: &MappedTrace) -> usize {
     match trace.declared_nodes() {
         Some(n) => usize::from(n),
@@ -386,58 +278,36 @@ pub fn mapped_node_count(trace: &MappedTrace) -> usize {
     }
 }
 
-/// Replays a memory-mapped TSB1 trace through the harness — the
-/// zero-copy analogue of [`run_trace_streamed`].
+/// Replays a memory-mapped TSB1 trace through the harness, never
+/// materializing a [`StoredTrace`].
 ///
 /// Blocks decode on the [`SweepPool`] directly out of the shared
 /// mapping (no read syscalls, no payload copies; the mapped trace is
 /// `Sync`, so workers borrow block slices concurrently), re-entering in
-/// trace order through the same bounded reorder window streamed replay
-/// uses, with the same decode-inline fallback when the pool is
-/// saturated. Results are bit-identical to [`run_trace_streamed`] over
-/// the same file.
+/// trace order through a bounded reorder window. If the pool has not
+/// finished the next block by the time the consumer needs it (or is
+/// saturated by enclosing sweep jobs), the consumer decodes that block
+/// inline, so replay never waits on pool capacity. Results are
+/// bit-identical to loading the same file into a [`StoredTrace`] and
+/// calling [`run_trace_stored`]; peak heap is a few blocks instead of
+/// the whole trace.
 ///
 /// # Errors
 ///
-/// As [`run_trace_streamed`].
+/// [`ReplayError::Trace`] on any TSB1 structural failure (including
+/// records naming nodes outside the declared node count);
+/// [`ReplayError::Config`] if the configuration is invalid or the
+/// trace's node count differs from `cfg.sys.nodes`.
 pub fn run_trace_mapped(
     name: impl Into<String>,
     trace: Arc<MappedTrace>,
     cfg: &RunConfig,
-) -> Result<RunResult, StreamedReplayError> {
+) -> Result<RunResult, ReplayError> {
     let nodes = mapped_node_count(&trace);
     let total = usize::try_from(trace.records()).unwrap_or(usize::MAX);
     let error = Rc::new(RefCell::new(None));
     let mut stream = MappedRecords::new(trace, nodes, Rc::clone(&error));
     let result = run_blocks(&name.into(), nodes, total, &mut stream, cfg)?;
-    // A trace error mid-stream ends the record iterator early; surface
-    // it instead of the truncated result.
-    if let Some(e) = error.borrow_mut().take() {
-        return Err(e.into());
-    }
-    Ok(result)
-}
-
-/// [`run_trace_mapped`] with epoch-parallel replay: block decode fans
-/// out on the [`SweepPool`] exactly as in the sequential path, while
-/// phase-A cache probes run on `par` dedicated workers and the shared
-/// coherence plane merges sequentially (see the `parallel` module docs). Results are **bit-identical** to [`run_trace_mapped`]
-/// for every thread count.
-///
-/// # Errors
-///
-/// As [`run_trace_mapped`].
-pub fn run_trace_mapped_par(
-    name: impl Into<String>,
-    trace: Arc<MappedTrace>,
-    cfg: &RunConfig,
-    par: tse_types::Parallelism,
-) -> Result<RunResult, StreamedReplayError> {
-    let nodes = mapped_node_count(&trace);
-    let total = usize::try_from(trace.records()).unwrap_or(usize::MAX);
-    let error = Rc::new(RefCell::new(None));
-    let mut stream = MappedRecords::new(trace, nodes, Rc::clone(&error));
-    let result = run_blocks_par(&name.into(), nodes, total, &mut stream, cfg, par)?;
     // A trace error mid-stream ends the record iterator early; surface
     // it instead of the truncated result.
     if let Some(e) = error.borrow_mut().take() {
@@ -451,11 +321,11 @@ pub fn run_trace_mapped_par(
 /// # Errors
 ///
 /// As [`run_trace_mapped`], plus open/map failures as
-/// [`StreamedReplayError::Trace`].
+/// [`ReplayError::Trace`].
 pub fn run_trace_mapped_path(
     path: impl AsRef<Path>,
     cfg: &RunConfig,
-) -> Result<RunResult, StreamedReplayError> {
+) -> Result<RunResult, ReplayError> {
     let path = path.as_ref();
     let name = path
         .file_stem()
@@ -465,175 +335,12 @@ pub fn run_trace_mapped_path(
     run_trace_mapped(name, trace, cfg)
 }
 
-/// Epoch-parallel mapped replay of a TSB1 file, named after the file
-/// stem — [`run_trace_mapped_par`] over a fresh mapping.
-///
-/// # Errors
-///
-/// As [`run_trace_mapped_par`], plus open/map failures as
-/// [`StreamedReplayError::Trace`].
-pub fn run_trace_mapped_path_par(
-    path: impl AsRef<Path>,
-    cfg: &RunConfig,
-    par: tse_types::Parallelism,
-) -> Result<RunResult, StreamedReplayError> {
-    let path = path.as_ref();
-    let name = path
-        .file_stem()
-        .map(|s| s.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "trace".to_string());
-    let trace = Arc::new(MappedTrace::open(path)?);
-    run_trace_mapped_par(name, trace, cfg, par)
-}
-
-/// The block source behind [`run_trace_streamed`] (and the timing
-/// model's `run_timing_streamed`): pulls raw blocks off the reader,
-/// fans their decode out to the sweep pool, and yields blocks in trace
-/// order from a bounded reorder window.
-pub(crate) struct StreamedRecords<R: Read> {
-    reader: TraceReader<R>,
-    pool: &'static SweepPool,
-    /// Bound on blocks resident at once (raw in flight + decoded
-    /// pending), i.e. the decode-ahead distance.
-    window: usize,
-    rtx: mpsc::Sender<(u32, Result<Vec<AccessRecord>, TraceIoError>)>,
-    rrx: mpsc::Receiver<(u32, Result<Vec<AccessRecord>, TraceIoError>)>,
-    /// Blocks dispatched to the pool whose decode has not been observed.
-    raw: BTreeMap<u32, Arc<RawBlock>>,
-    /// Decoded blocks waiting for their turn.
-    decoded: BTreeMap<u32, Vec<AccessRecord>>,
-    /// Index of the next block to hand to the consumer.
-    next_emit: u32,
-    /// The block most recently handed to the consumer (the kernel
-    /// borrows it until the next [`BlockSource::next_block`] call).
-    block: Vec<AccessRecord>,
-    eof: bool,
-    nodes: usize,
-    error: Rc<RefCell<Option<TraceIoError>>>,
-}
-
-impl<R: Read> StreamedRecords<R> {
-    pub(crate) fn new(
-        reader: TraceReader<R>,
-        nodes: usize,
-        error: Rc<RefCell<Option<TraceIoError>>>,
-    ) -> Self {
-        let pool = SweepPool::global();
-        let (rtx, rrx) = mpsc::channel();
-        StreamedRecords {
-            reader,
-            pool,
-            window: pool.threads().clamp(2, 8) * 2,
-            rtx,
-            rrx,
-            raw: BTreeMap::new(),
-            decoded: BTreeMap::new(),
-            next_emit: 0,
-            block: Vec::new(),
-            eof: false,
-            nodes,
-            error,
-        }
-    }
-
-    fn fail(&mut self, e: TraceIoError) {
-        self.error.borrow_mut().get_or_insert(e);
-        self.eof = true;
-        self.raw.clear();
-        self.decoded.clear();
-    }
-
-    /// Tops up the decode-ahead window with freshly read raw blocks.
-    fn dispatch(&mut self) {
-        while !self.eof && self.raw.len() + self.decoded.len() < self.window {
-            match self.reader.next_raw_block() {
-                Ok(Some(block)) => {
-                    let block = Arc::new(block);
-                    self.raw.insert(block.index, Arc::clone(&block));
-                    let rtx = self.rtx.clone();
-                    self.pool.execute(move || {
-                        let _ = rtx.send((block.index, decode_block(&block)));
-                    });
-                }
-                Ok(None) => self.eof = true,
-                Err(e) => return self.fail(e),
-            }
-        }
-    }
-
-    /// Produces the next block's records, in trace order.
-    fn take_block(&mut self) -> Option<Vec<AccessRecord>> {
-        self.dispatch();
-        // Observe every decode that has completed.
-        while let Ok((idx, result)) = self.rrx.try_recv() {
-            if self.raw.remove(&idx).is_some() {
-                match result {
-                    Ok(records) => {
-                        self.decoded.insert(idx, records);
-                    }
-                    Err(e) => {
-                        self.fail(e);
-                        return None;
-                    }
-                }
-            }
-            // else: the consumer already decoded it inline; drop the
-            // duplicate.
-        }
-        if self.error.borrow().is_some() {
-            return None;
-        }
-        if let Some(records) = self.decoded.remove(&self.next_emit) {
-            self.next_emit += 1;
-            return Some(records);
-        }
-        if let Some(block) = self.raw.remove(&self.next_emit) {
-            // The pool has not gotten to this block yet (or is saturated
-            // by enclosing sweep jobs): decode it here rather than wait,
-            // so streamed replay can never deadlock on pool capacity.
-            self.next_emit += 1;
-            return match decode_block(&block) {
-                Ok(records) => Some(records),
-                Err(e) => {
-                    self.fail(e);
-                    None
-                }
-            };
-        }
-        debug_assert!(self.eof, "blocks are dispatched in trace order");
-        None
-    }
-}
-
-impl<R: Read> crate::kernel::BlockSource for StreamedRecords<R> {
-    fn next_block(&mut self) -> Option<&[AccessRecord]> {
-        let block = self.take_block()?;
-        // Same invariant StoredTrace::load_tsb1 enforces, checked once
-        // per block before any of it is replayed: a record outside
-        // 0..nodes would index the replay kernel out of bounds.
-        if let Some(rec) = block.iter().find(|r| r.node.index() >= self.nodes) {
-            let e = TraceIoError::Corrupt {
-                offset: 0,
-                reason: format!(
-                    "record on node {} but the trace declares {} nodes",
-                    rec.node, self.nodes
-                ),
-            };
-            self.fail(e);
-            return None;
-        }
-        self.block = block;
-        Some(&self.block)
-    }
-}
-
 /// The block source behind [`run_trace_mapped`] (and the timing
-/// model's `run_timing_mapped`): the zero-copy sibling of
-/// [`StreamedRecords`]. Where the streamed path reads each raw block
-/// into an owned buffer before handing it to the pool, this one shares
-/// the `Arc<MappedTrace>` with the workers, which decode straight out
-/// of the mapping — block offsets come from the trailer index, so
-/// dispatch is O(1) per block with no I/O on the consumer thread.
+/// model's `run_timing_mapped`): shares the `Arc<MappedTrace>` with the
+/// pool workers, which decode straight out of the mapping, and yields
+/// blocks in trace order from a bounded reorder window. Block offsets
+/// come from the trailer index, so dispatch is O(1) per block with no
+/// I/O on the consumer thread.
 pub(crate) struct MappedRecords {
     trace: Arc<MappedTrace>,
     pool: &'static SweepPool,
@@ -857,8 +564,25 @@ mod tests {
         assert_eq!(loaded.records(), stored.records());
     }
 
+    /// Writes `bytes` as `<tag>.tsb1` under a per-process temp dir and
+    /// maps it. Callers remove the returned dir when done.
+    fn map_bytes(tag: &str, bytes: &[u8]) -> (std::path::PathBuf, Arc<MappedTrace>) {
+        let dir = std::env::temp_dir().join(format!("tse-replay-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("{tag}.tsb1"));
+        std::fs::write(&path, bytes).unwrap();
+        let trace = Arc::new(MappedTrace::open(&path).unwrap());
+        (dir, trace)
+    }
+
+    fn tsb1_bytes(stored: &StoredTrace) -> Vec<u8> {
+        let mut cur = Cursor::new(Vec::new());
+        stored.save_tsb1(&mut cur).unwrap();
+        cur.into_inner()
+    }
+
     #[test]
-    fn streamed_replay_is_bit_identical_to_stored_replay() {
+    fn mapped_replay_is_bit_identical_to_stored_replay() {
         // Several blocks' worth of records so the reorder window and
         // pool decode-ahead actually engage.
         let wl = Tpcc::scaled(OltpFlavor::Db2, 0.06);
@@ -868,27 +592,26 @@ mod tests {
             "trace must span several TSB1 blocks, got {}",
             stored.len()
         );
-        let mut cur = Cursor::new(Vec::new());
-        stored.save_tsb1(&mut cur).unwrap();
+        let (dir, trace) = map_bytes("identical", &tsb1_bytes(&stored));
         let cfg = RunConfig {
             engine: EngineKind::Tse(TseConfig::default()),
             ..RunConfig::default()
         };
         let a = run_trace_stored(&stored, &cfg).unwrap();
-        let b = run_trace_streamed(stored.name(), Cursor::new(cur.into_inner()), &cfg).unwrap();
+        let b = run_trace_mapped(stored.name(), trace, &cfg).unwrap();
         assert_eq!(a.workload, b.workload);
         assert_eq!(a.engine, b.engine);
         assert_eq!(a.mem, b.mem);
         assert_eq!(a.traffic, b.traffic);
         assert_eq!(a.records, b.records);
         assert_eq!(a.spin_misses, b.spin_misses);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn streamed_replay_rejects_node_count_mismatch() {
+    fn mapped_replay_rejects_node_count_mismatch() {
         let stored = StoredTrace::from_workload(&Em3d::scaled(0.03), 1); // 16 nodes
-        let mut cur = Cursor::new(Vec::new());
-        stored.save_tsb1(&mut cur).unwrap();
+        let (dir, trace) = map_bytes("mismatch", &tsb1_bytes(&stored));
         let cfg = RunConfig {
             sys: SystemConfig::builder()
                 .nodes(4)
@@ -897,26 +620,27 @@ mod tests {
                 .unwrap(),
             ..RunConfig::default()
         };
-        match run_trace_streamed("t", Cursor::new(cur.into_inner()), &cfg) {
-            Err(StreamedReplayError::Config(_)) => {}
+        match run_trace_mapped("t", trace, &cfg) {
+            Err(ReplayError::Config(_)) => {}
             other => panic!("expected a config error, got {other:?}"),
         }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn streamed_replay_surfaces_corruption() {
+    fn mapped_replay_surfaces_corruption() {
         let stored = StoredTrace::from_workload(&Em3d::scaled(0.03), 1);
-        let mut cur = Cursor::new(Vec::new());
-        stored.save_tsb1(&mut cur).unwrap();
-        let mut bytes = cur.into_inner();
+        let mut bytes = tsb1_bytes(&stored);
         // Flip a bit in some block payload past the header.
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
+        let (dir, trace) = map_bytes("corrupt", &bytes);
         let cfg = RunConfig::default();
-        match run_trace_streamed("t", Cursor::new(bytes), &cfg) {
-            Err(StreamedReplayError::Trace(_)) => {}
+        match run_trace_mapped("t", trace, &cfg) {
+            Err(ReplayError::Trace(_)) => {}
             other => panic!("expected a trace error, got {other:?}"),
         }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -76,7 +76,7 @@ impl SweepPool {
     }
 
     /// The process-wide pool (one worker per available CPU), created on
-    /// first use and shared by every sweep and streamed replay.
+    /// first use and shared by every sweep and mapped replay.
     pub fn global() -> &'static SweepPool {
         static POOL: OnceLock<SweepPool> = OnceLock::new();
         POOL.get_or_init(|| SweepPool::new(0))
@@ -87,7 +87,7 @@ impl SweepPool {
         self.threads
     }
 
-    /// Submits one fire-and-forget job (used by the streamed-replay
+    /// Submits one fire-and-forget job (used by the mapped-replay
     /// decode pipeline; batch sweeps use [`SweepPool::run`]).
     pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
         self.tx

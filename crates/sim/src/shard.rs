@@ -8,8 +8,8 @@
 //! makes the grid *distributable*: serialize each cell as a
 //! [`ShardJob`], split the grid into shards ([`ShardPlan::split`]),
 //! execute each shard on any host holding the same corpus
-//! ([`execute_shard`], digest-verified before replay, streamed so giant
-//! traces never materialize), and [`merge`] the result bundles back
+//! ([`execute_shard`], digest-verified before replay, memory-mapped so
+//! giant traces never materialize), and [`merge`] the result bundles back
 //! into the exact grid the in-process [`crate::SweepPool`] path
 //! produces — bit-identical, by `PartialEq` on
 //! [`RunResult`]/[`TimingResult`].
@@ -29,10 +29,7 @@
 //!   so any execution order of the shards reassembles one canonical
 //!   grid.
 
-use crate::{
-    run_timing_mapped, run_timing_mapped_par, run_trace_mapped, run_trace_mapped_par, EngineKind,
-    RunConfig, RunResult, TimingResult,
-};
+use crate::{run_timing_mapped, run_trace_mapped, EngineKind, RunConfig, RunResult, TimingResult};
 use serde::json::{Error as JsonError, Value};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -40,7 +37,6 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use tse_trace::corpus::Corpus;
 use tse_trace::store::MappedTrace;
-use tse_types::Parallelism;
 
 /// Version stamped into (and required of) every plan, result bundle and
 /// merged grid this build reads or writes.
@@ -437,13 +433,8 @@ impl std::error::Error for ShardError {}
 /// [`crate::SweepPool`], each replaying its trace zero-copy through
 /// [`run_trace_mapped`] / [`run_timing_mapped`] (blocks decode straight
 /// out of a shared memory mapping, so even giant traces replay in
-/// bounded heap). When the shard holds fewer cells than the pool has
-/// workers — the tail of a sweep, or one giant cell — the idle workers
-/// are spent *inside* each cell instead: every job replays
-/// epoch-parallel ([`run_trace_mapped_par`] / [`run_timing_mapped_par`])
-/// at `pool_threads / jobs` threads, which is bit-identical to the
-/// sequential replay by the determinism contract, so merged grids are
-/// unaffected. Results come back in cell order.
+/// bounded heap). Cells run concurrently; each one replays sequentially
+/// on a single pool worker. Results come back in cell order.
 ///
 /// # Errors
 ///
@@ -500,14 +491,7 @@ pub fn execute_shard(
             (j, p)
         })
         .collect();
-    // Fewer cells than pool workers: spend the idle threads inside each
-    // cell via epoch-parallel replay (bit-identical, so the merge
-    // contract holds).
-    let threads_per_job =
-        Parallelism::new((crate::SweepPool::global().threads() / work.len().max(1)).max(1));
-    let ran = crate::run_parallel(work, 0, move |(job, path)| {
-        (job.cell, run_job(&job, &path, threads_per_job))
-    });
+    let ran = crate::run_parallel(work, 0, |(job, path)| (job.cell, run_job(&job, &path)));
 
     let mut cells = Vec::with_capacity(ran.len());
     for (cell, result) in ran {
@@ -527,38 +511,23 @@ pub fn execute_shard(
 
 /// Replays one job's trace through the harness its mode names, via the
 /// zero-copy mapped path (blocks decode straight out of the mapping;
-/// bit-identical to the streamed reader over the same file). A
-/// non-sequential `par` replays epoch-parallel — same results, spread
-/// over the given thread count.
-fn run_job(job: &ShardJob, path: &Path, par: Parallelism) -> Result<CellOutput, ShardError> {
+/// bit-identical to stored replay of the same file).
+fn run_job(job: &ShardJob, path: &Path) -> Result<CellOutput, ShardError> {
     let fail = |e: &dyn std::fmt::Display| {
         ShardError::Run(format!("cell {} ({}): {e}", job.cell, job.trace.workload))
     };
     let trace = Arc::new(MappedTrace::open(path).map_err(|e| fail(&e))?);
     let name = job.trace.workload.clone();
-    match (job.mode, par.is_sequential()) {
-        (ShardMode::Trace, true) => run_trace_mapped(name, trace, &job.config)
+    match job.mode {
+        ShardMode::Trace => run_trace_mapped(name, trace, &job.config)
             .map(CellOutput::Trace)
             .map_err(|e| fail(&e)),
-        (ShardMode::Trace, false) => run_trace_mapped_par(name, trace, &job.config, par)
-            .map(CellOutput::Trace)
-            .map_err(|e| fail(&e)),
-        (ShardMode::Timing, true) => run_timing_mapped(
+        ShardMode::Timing => run_timing_mapped(
             name,
             trace,
             &job.config.sys,
             &job.config.engine,
             job.config.warm_fraction,
-        )
-        .map(CellOutput::Timing)
-        .map_err(|e| fail(&e)),
-        (ShardMode::Timing, false) => run_timing_mapped_par(
-            name,
-            trace,
-            &job.config.sys,
-            &job.config.engine,
-            job.config.warm_fraction,
-            par,
         )
         .map(CellOutput::Timing)
         .map_err(|e| fail(&e)),

@@ -17,18 +17,17 @@
 //! a decoupled approximation that keeps the simulator fast and
 //! deterministic.
 
-use crate::replay::{mapped_node_count, tsb1_node_count, MappedRecords, StreamedRecords};
-use crate::{EngineKind, StoredTrace, StreamedReplayError};
+use crate::replay::{mapped_node_count, MappedRecords};
+use crate::{EngineKind, ReplayError, StoredTrace};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::io::{Read, Seek};
 use std::path::Path;
 use std::rc::Rc;
 use tse_core::{TemporalStreamingEngine, TseStats};
 use tse_interconnect::TrafficReport;
 use tse_memsim::{DsmSystem, HitLevel, MemStats, MissClass};
-use tse_trace::store::{LoweredBlock, MappedTrace, TraceReader};
+use tse_trace::store::{LoweredBlock, MappedTrace};
 use tse_trace::{interleave, AccessKind, AccessRecord, SpinFilter, TraceIoError};
 use tse_types::ops::{OP_DEPENDENT, OP_SPIN, OP_WRITE};
 use tse_types::{ConfigError, Cycle, Line, NodeId, SystemConfig};
@@ -175,7 +174,7 @@ impl Core {
 ///
 /// `PartialEq` compares every field (including the derived floats), so
 /// equality means *bit-identical* runs — the property the stored and
-/// streamed replay paths guarantee against the generation path.
+/// mapped replay paths guarantee against the generation path.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TimingResult {
     /// Workload name.
@@ -233,7 +232,7 @@ impl TimingResult {
 /// at `seed`, interleaves it, and replays it through the shared
 /// interval-model core. A thin generate-then-replay wrapper —
 /// replaying the same records from a [`StoredTrace`]
-/// ([`run_timing_stored`]) or a TSB1 stream ([`run_timing_streamed`])
+/// ([`run_timing_stored`]) or a mapped TSB1 file ([`run_timing_mapped`])
 /// produces bit-identical results.
 ///
 /// `engine` must be [`EngineKind::Baseline`] or [`EngineKind::Tse`];
@@ -293,101 +292,24 @@ pub fn run_timing_stored(
     )
 }
 
-/// Replays a TSB1 trace through the interval timing model *as it
-/// streams off the source*, never materializing a [`StoredTrace`] —
-/// the same pipelined block decode as
-/// [`run_trace_streamed`](crate::run_trace_streamed), feeding the
-/// timing event loop instead of the trace-driven harness. Bit-identical
-/// to [`run_timing_stored`] over the same file.
+/// Replays a memory-mapped TSB1 trace through the timing model,
+/// decoding blocks on the pool straight out of the shared mapping — the
+/// same block source as [`run_trace_mapped`](crate::run_trace_mapped),
+/// feeding the timing event loop instead of the trace-driven harness.
+/// Bit-identical to [`run_timing_stored`] over the same file.
 ///
 /// # Errors
 ///
-/// [`StreamedReplayError::Trace`] on any TSB1 structural failure;
-/// [`StreamedReplayError::Config`] for invalid configurations, a
-/// prefetcher engine kind, or a trace/system node-count mismatch.
-pub fn run_timing_streamed<R: Read + Seek>(
-    name: impl Into<String>,
-    src: R,
-    sys: &SystemConfig,
-    engine: &EngineKind,
-    warm_fraction: f64,
-) -> Result<TimingResult, StreamedReplayError> {
-    run_timing_streamed_reader(name, TraceReader::open(src)?, sys, engine, warm_fraction)
-}
-
-/// [`run_timing_streamed`] over an already-open [`TraceReader`], with
-/// an explicit trace name (callers that sized the machine from the
-/// header reuse the reader instead of re-parsing the trace).
-///
-/// # Errors
-///
-/// As [`run_timing_streamed`].
-pub fn run_timing_streamed_reader<R: Read + Seek>(
-    name: impl Into<String>,
-    reader: TraceReader<R>,
-    sys: &SystemConfig,
-    engine: &EngineKind,
-    warm_fraction: f64,
-) -> Result<TimingResult, StreamedReplayError> {
-    let nodes = tsb1_node_count(&reader);
-    let total = usize::try_from(reader.records()).unwrap_or(usize::MAX);
-    let error: Rc<RefCell<Option<TraceIoError>>> = Rc::new(RefCell::new(None));
-    let mut stream = StreamedRecords::new(reader, nodes, Rc::clone(&error));
-    let result = run_timing_blocks(
-        &name.into(),
-        nodes,
-        total,
-        &mut stream,
-        sys,
-        engine,
-        warm_fraction,
-    )?;
-    // A trace error mid-stream ends the record iterator early; surface
-    // it instead of the truncated result.
-    if let Some(e) = error.borrow_mut().take() {
-        return Err(e.into());
-    }
-    Ok(result)
-}
-
-/// Streamed timing replay of a TSB1 file, named after the file stem.
-///
-/// # Errors
-///
-/// As [`run_timing_streamed`], plus open failures as
-/// [`StreamedReplayError::Trace`].
-pub fn run_timing_streamed_path(
-    path: impl AsRef<Path>,
-    sys: &SystemConfig,
-    engine: &EngineKind,
-    warm_fraction: f64,
-) -> Result<TimingResult, StreamedReplayError> {
-    let path = path.as_ref();
-    let name = path
-        .file_stem()
-        .map(|s| s.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "trace".to_string());
-    let file = std::fs::File::open(path).map_err(TraceIoError::Io)?;
-    let reader = TraceReader::open(std::io::BufReader::new(file))?;
-    run_timing_streamed_reader(name, reader, sys, engine, warm_fraction)
-}
-
-/// Replays a memory-mapped TSB1 trace through the timing model — the
-/// zero-copy analogue of [`run_timing_streamed`], decoding blocks on
-/// the pool straight out of the shared mapping. Bit-identical to
-/// [`run_timing_streamed`] (and [`run_timing_stored`]) over the same
-/// file.
-///
-/// # Errors
-///
-/// As [`run_timing_streamed`].
+/// [`ReplayError::Trace`] on any TSB1 structural failure;
+/// [`ReplayError::Config`] for invalid configurations, a prefetcher
+/// engine kind, or a trace/system node-count mismatch.
 pub fn run_timing_mapped(
     name: impl Into<String>,
     trace: std::sync::Arc<MappedTrace>,
     sys: &SystemConfig,
     engine: &EngineKind,
     warm_fraction: f64,
-) -> Result<TimingResult, StreamedReplayError> {
+) -> Result<TimingResult, ReplayError> {
     let nodes = mapped_node_count(&trace);
     let total = usize::try_from(trace.records()).unwrap_or(usize::MAX);
     let error: Rc<RefCell<Option<TraceIoError>>> = Rc::new(RefCell::new(None));
@@ -414,13 +336,13 @@ pub fn run_timing_mapped(
 /// # Errors
 ///
 /// As [`run_timing_mapped`], plus open/map failures as
-/// [`StreamedReplayError::Trace`].
+/// [`ReplayError::Trace`].
 pub fn run_timing_mapped_path(
     path: impl AsRef<Path>,
     sys: &SystemConfig,
     engine: &EngineKind,
     warm_fraction: f64,
-) -> Result<TimingResult, StreamedReplayError> {
+) -> Result<TimingResult, ReplayError> {
     let path = path.as_ref();
     let name = path
         .file_stem()
@@ -430,103 +352,13 @@ pub fn run_timing_mapped_path(
     run_timing_mapped(name, trace, sys, engine, warm_fraction)
 }
 
-/// [`run_timing_stored`] with epoch-parallel replay: phase-A cache
-/// probes run on `par` worker threads while the shared coherence plane
-/// and the interval cores merge sequentially (see the `parallel` module docs). Results are **bit-identical** to [`run_timing_stored`]
-/// for every thread count; `Parallelism::sequential()` (or a
-/// single-node system) falls back to the sequential batched loop.
-///
-/// # Errors
-///
-/// As [`run_timing_stored`].
-pub fn run_timing_stored_par(
-    trace: &StoredTrace,
-    sys: &SystemConfig,
-    engine: &EngineKind,
-    warm_fraction: f64,
-    par: tse_types::Parallelism,
-) -> Result<TimingResult, ConfigError> {
-    let mut src = crate::kernel::SliceBlocks::new(trace.records());
-    crate::parallel::run_timing_blocks_par(
-        trace.name(),
-        trace.nodes(),
-        trace.len(),
-        &mut src,
-        sys,
-        engine,
-        warm_fraction,
-        par,
-    )
-}
-
-/// [`run_timing_mapped`] with epoch-parallel replay — the timing
-/// analogue of [`run_trace_mapped_par`](crate::run_trace_mapped_par).
-/// Results are **bit-identical** to [`run_timing_mapped`] for every
-/// thread count.
-///
-/// # Errors
-///
-/// As [`run_timing_mapped`].
-pub fn run_timing_mapped_par(
-    name: impl Into<String>,
-    trace: std::sync::Arc<MappedTrace>,
-    sys: &SystemConfig,
-    engine: &EngineKind,
-    warm_fraction: f64,
-    par: tse_types::Parallelism,
-) -> Result<TimingResult, StreamedReplayError> {
-    let nodes = mapped_node_count(&trace);
-    let total = usize::try_from(trace.records()).unwrap_or(usize::MAX);
-    let error: Rc<RefCell<Option<TraceIoError>>> = Rc::new(RefCell::new(None));
-    let mut stream = MappedRecords::new(trace, nodes, Rc::clone(&error));
-    let result = crate::parallel::run_timing_blocks_par(
-        &name.into(),
-        nodes,
-        total,
-        &mut stream,
-        sys,
-        engine,
-        warm_fraction,
-        par,
-    )?;
-    // A trace error mid-stream ends the record iterator early; surface
-    // it instead of the truncated result.
-    if let Some(e) = error.borrow_mut().take() {
-        return Err(e.into());
-    }
-    Ok(result)
-}
-
-/// Epoch-parallel mapped timing replay of a TSB1 file, named after the
-/// file stem.
-///
-/// # Errors
-///
-/// As [`run_timing_mapped_par`], plus open/map failures as
-/// [`StreamedReplayError::Trace`].
-pub fn run_timing_mapped_path_par(
-    path: impl AsRef<Path>,
-    sys: &SystemConfig,
-    engine: &EngineKind,
-    warm_fraction: f64,
-    par: tse_types::Parallelism,
-) -> Result<TimingResult, StreamedReplayError> {
-    let path = path.as_ref();
-    let name = path
-        .file_stem()
-        .map(|s| s.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "trace".to_string());
-    let trace = std::sync::Arc::new(MappedTrace::open(path)?);
-    run_timing_mapped_par(name, trace, sys, engine, warm_fraction, par)
-}
-
 /// All mutable state of one timing run: the DSM, the optional TSE, the
 /// per-node interval cores and the warm-up bookkeeping. Shared by the
 /// batched block loop ([`run_timing_blocks`]) and the record-at-a-time
 /// reference ([`run_timing_interleaved_reference`]), which differ only
 /// in how they walk the trace.
-pub(crate) struct TimingRun {
-    pub(crate) dsm: DsmSystem,
+struct TimingRun {
+    dsm: DsmSystem,
     tse: Option<Box<TemporalStreamingEngine>>,
     cores: Vec<Core>,
     warm_marks: Vec<(u64, u64, u64, u64)>,
@@ -535,7 +367,7 @@ pub(crate) struct TimingRun {
 }
 
 impl TimingRun {
-    pub(crate) fn new(
+    fn new(
         trace_nodes: usize,
         sys: &SystemConfig,
         engine: &EngineKind,
@@ -572,7 +404,7 @@ impl TimingRun {
 
     /// Warm-up boundary: caches, CMOBs and core clocks stay warm;
     /// counters restart (the paper's measurement discipline).
-    pub(crate) fn warm_reset(&mut self) {
+    fn warm_reset(&mut self) {
         self.dsm.reset_stats();
         if let Some(t) = self.tse.as_mut() {
             t.reset_stats();
@@ -700,66 +532,8 @@ impl TimingRun {
         }
     }
 
-    /// [`TimingRun::advance_slice`] for epoch-parallel (detached)
-    /// replay: the per-record clock/stall advance and the run walk are
-    /// identical, but each run head's hierarchy resolution comes from
-    /// its phase-A outcome byte instead of a probe, and writes resolve
-    /// through [`DsmSystem::write_resolved`]. The caller slices the
-    /// epoch's columns at journaled-eviction positions and applies each
-    /// eviction between chunks, so `ops`/`outcomes` here are one such
-    /// chunk.
-    pub(crate) fn advance_slice_outcomes(
-        &mut self,
-        ops: &[u8],
-        nodes: &[u16],
-        lines: &[u64],
-        clocks: &[u64],
-        stalls: &[u32],
-        outcomes: &[u8],
-    ) {
-        use tse_memsim::epoch::outcome;
-        let mut i = 0usize;
-        while i < ops.len() {
-            let n = usize::from(nodes[i]);
-            let node = NodeId::new(nodes[i]);
-            let line = Line::new(lines[i]);
-            let now = self.advance_clock(n, clocks[i], stalls[i]);
-            if ops[i] & OP_WRITE != 0 {
-                self.dsm
-                    .write_resolved(node, line, outcomes[i] == outcome::WRITE_HAD);
-                if let Some(t) = self.tse.as_mut() {
-                    t.write(&mut self.dsm, line);
-                }
-                i += 1;
-                continue;
-            }
-            let j = crate::kernel::run_end(ops, nodes, lines, i);
-            match outcomes[i] {
-                outcome::HIT_L1 => {}
-                outcome::HIT_L2 => self.cores[n].l2_hit(),
-                outcome::MISS => self.read_miss_event(
-                    node,
-                    line,
-                    now,
-                    ops[i] & OP_SPIN != 0,
-                    ops[i] & OP_DEPENDENT != 0,
-                ),
-                o => debug_assert!(false, "read head with phase-A outcome {o}"),
-            }
-            for k in (i + 1)..j {
-                self.advance_clock(n, clocks[k], stalls[k]);
-            }
-            i = j;
-        }
-    }
-
     /// Drains the cores and assembles the [`TimingResult`].
-    pub(crate) fn finish(
-        mut self,
-        name: &str,
-        engine: &EngineKind,
-        sys: &SystemConfig,
-    ) -> TimingResult {
+    fn finish(mut self, name: &str, engine: &EngineKind, sys: &SystemConfig) -> TimingResult {
         for core in self.cores.iter_mut() {
             core.finish();
         }
@@ -812,10 +586,10 @@ impl TimingRun {
 
 /// The batched timing core: pulls blocks, lowers them, and executes
 /// each through [`TimingRun::advance_slice`]. All timing entry points
-/// (generate, stored, streamed, mapped) route here; blocks straddling
+/// (generate, stored, mapped) route here; blocks straddling
 /// the warm-up boundary split so counter resets land exactly between
 /// the same two records as in the reference loop.
-pub(crate) fn run_timing_blocks(
+fn run_timing_blocks(
     name: &str,
     trace_nodes: usize,
     total: usize,
@@ -852,9 +626,8 @@ pub(crate) fn run_timing_blocks(
     Ok(run.finish(name, engine, sys))
 }
 
-/// The timing event loop shared by [`run_timing`] (generate),
-/// [`run_timing_stored`] (in-memory replay) and [`run_timing_streamed`]
-/// (TSB1 block stream): drives coherence + TSE state in logical-clock
+/// The timing event loop shared by [`run_timing`] (generate) and
+/// [`run_timing_stored`] (in-memory replay): drives coherence + TSE state in logical-clock
 /// order while each node's physical time advances through the interval
 /// model, block-at-a-time through the batched kernel.
 pub(crate) fn run_timing_interleaved(

@@ -2,18 +2,17 @@
 //!
 //! The contract under test: [`run_trace_mapped`] / [`run_timing_mapped`]
 //! (pool-parallel block decode straight out of a shared memory mapping)
-//! produce results *equal* to the owned-buffer streamed readers and the
-//! in-memory stored replay over the same TSB1 file — including on a
-//! Tpcc trace large enough (>= 10^6 records) that the mmap block index,
-//! the decode reorder window and lazy CRC validation all engage
-//! hundreds of times over.
+//! produce results *equal* to the in-memory stored replay of the same
+//! records — including on a Tpcc trace large enough (>= 10^6 records)
+//! that the mmap block index, the decode reorder window and lazy CRC
+//! validation all engage hundreds of times over.
 
 use std::io::Cursor;
 use std::sync::Arc;
 use tse_sim::{
     mapped_node_count, run_timing_mapped, run_timing_mapped_path, run_timing_stored,
-    run_trace_mapped, run_trace_mapped_path, run_trace_stored, run_trace_streamed, EngineKind,
-    RunConfig, StoredTrace, StreamedReplayError,
+    run_trace_mapped, run_trace_mapped_path, run_trace_stored, EngineKind, ReplayError, RunConfig,
+    StoredTrace,
 };
 use tse_trace::store::MappedTrace;
 use tse_types::{SystemConfig, TseConfig};
@@ -32,7 +31,7 @@ fn save(trace: &StoredTrace, tag: &str) -> (std::path::PathBuf, std::path::PathB
 }
 
 #[test]
-fn mapped_trace_replay_matches_stored_and_streamed() {
+fn mapped_trace_replay_matches_stored() {
     let wl = Em3d::scaled(0.03);
     let stored = StoredTrace::from_workload(&wl, 42);
     let (dir, path) = save(&stored, "trace");
@@ -50,13 +49,6 @@ fn mapped_trace_replay_matches_stored_and_streamed() {
         let from_store = run_trace_stored(&stored, &cfg).unwrap();
         let mapped = run_trace_mapped(stored.name(), Arc::clone(&trace), &cfg).unwrap();
         assert_eq!(mapped, from_store, "mapped != stored");
-        let streamed = run_trace_streamed(
-            stored.name(),
-            Cursor::new(std::fs::read(&path).unwrap()),
-            &cfg,
-        )
-        .unwrap();
-        assert_eq!(mapped, streamed, "mapped != streamed");
         let from_path = run_trace_mapped_path(&path, &cfg).unwrap();
         assert_eq!(from_path.workload, stored.name());
         assert_eq!(from_path.coverage(), mapped.coverage());
@@ -65,10 +57,10 @@ fn mapped_trace_replay_matches_stored_and_streamed() {
 }
 
 #[test]
-fn million_record_tpcc_trace_is_bit_identical_mapped_vs_streamed() {
+fn million_record_tpcc_trace_is_bit_identical_mapped_vs_stored() {
     // The acceptance bar for the zero-copy plane: a Tpcc trace past
     // 10^6 records (hundreds of 4096-record TSB1 blocks) replays
-    // bit-identically through the mapping and the owned-buffer reader.
+    // bit-identically through the mapping and from memory.
     let wl = Tpcc::scaled(OltpFlavor::Db2, 1.0).with_txns_per_node(1600);
     let stored = StoredTrace::from_workload(&wl, 42);
     assert!(
@@ -82,14 +74,9 @@ fn million_record_tpcc_trace_is_bit_identical_mapped_vs_streamed() {
         engine: EngineKind::Tse(TseConfig::default()),
         ..RunConfig::default()
     };
-    let streamed = run_trace_streamed(
-        stored.name(),
-        Cursor::new(std::fs::read(&path).unwrap()),
-        &cfg,
-    )
-    .unwrap();
+    let from_store = run_trace_stored(&stored, &cfg).unwrap();
     let mapped = run_trace_mapped_path(&path, &cfg).unwrap();
-    assert_eq!(mapped, streamed, "mapped != streamed at 10^6 records");
+    assert_eq!(mapped, from_store, "mapped != stored at 10^6 records");
     // The run did real work: the engine covered misses.
     assert!(mapped.engine.covered > 0);
 
@@ -133,7 +120,7 @@ fn mapped_replay_surfaces_corruption_and_node_mismatch() {
     let bad = dir.join("bad.tsb1");
     std::fs::write(&bad, bytes).unwrap();
     match run_trace_mapped_path(&bad, &RunConfig::default()) {
-        Err(StreamedReplayError::Trace(_)) => {}
+        Err(ReplayError::Trace(_)) => {}
         other => panic!("expected a trace error, got {other:?}"),
     }
 
@@ -144,7 +131,7 @@ fn mapped_replay_surfaces_corruption_and_node_mismatch() {
         .build()
         .unwrap();
     match run_timing_mapped_path(&path, &small, &EngineKind::Baseline, 0.25) {
-        Err(StreamedReplayError::Config(_)) => {}
+        Err(ReplayError::Config(_)) => {}
         other => panic!("expected a config error, got {other:?}"),
     }
     let _ = std::fs::remove_dir_all(&dir);

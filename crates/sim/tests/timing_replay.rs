@@ -2,18 +2,21 @@
 //!
 //! The contract under test: [`run_timing`] (generate-then-replay),
 //! [`run_timing_stored`] (in-memory [`StoredTrace`]) and
-//! [`run_timing_streamed`] (pipelined TSB1 block decode) produce
-//! *equal* [`TimingResult`]s — every counter, stall breakdown and
-//! derived float — for the same records, including on a trace large
-//! enough (>= 10^6 records) that block streaming, the decode reorder
+//! [`run_timing_mapped`] (pipelined TSB1 block decode off a memory
+//! mapping) produce *equal* [`TimingResult`]s — every counter, stall
+//! breakdown and derived float — for the same records, including on a
+//! trace large enough (>= 10^6 records) that block decode, the reorder
 //! window and the warm-up boundary all engage many times over.
 
 use std::io::Cursor;
+use std::path::PathBuf;
+use std::sync::Arc;
 use tse_sim::{
-    run_timing, run_timing_stored, run_timing_streamed, run_timing_streamed_path, EngineKind,
-    StoredTrace,
+    run_timing, run_timing_mapped, run_timing_mapped_path, run_timing_stored, EngineKind,
+    ReplayError, StoredTrace,
 };
 use tse_trace::interleave;
+use tse_trace::store::MappedTrace;
 use tse_types::{SystemConfig, TseConfig};
 use tse_workloads::{Em3d, OltpFlavor, Tpcc, Workload};
 
@@ -31,6 +34,35 @@ fn tsb1(trace: &StoredTrace) -> Vec<u8> {
     cur.into_inner()
 }
 
+/// A per-test temp dir, removed on drop.
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new(tag: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("tse-timing-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        TempDir(dir)
+    }
+
+    /// Writes `bytes` as `<file>` in the dir and returns its path.
+    fn write(&self, file: &str, bytes: &[u8]) -> PathBuf {
+        let path = self.0.join(file);
+        std::fs::write(&path, bytes).unwrap();
+        path
+    }
+
+    /// Writes `bytes` as `<file>` in the dir and maps it.
+    fn map(&self, file: &str, bytes: &[u8]) -> Arc<MappedTrace> {
+        Arc::new(MappedTrace::open(self.write(file, bytes)).unwrap())
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 #[test]
 fn all_three_paths_agree_with_generation() {
     let sys = SystemConfig::default();
@@ -39,20 +71,21 @@ fn all_three_paths_agree_with_generation() {
         Box::new(Tpcc::scaled(OltpFlavor::Db2, 0.05)),
     ] {
         let stored = StoredTrace::from_workload(wl.as_ref(), 42);
-        let bytes = tsb1(&stored);
+        let dir = TempDir::new("paths");
+        let mapped_trace = dir.map("t.tsb1", &tsb1(&stored));
         for engine in engines() {
             let direct = run_timing(wl.as_ref(), &sys, &engine, 42, 0.25).unwrap();
             let replayed = run_timing_stored(&stored, &sys, &engine, 0.25).unwrap();
             assert_eq!(direct, replayed, "{}: stored != generated", wl.name());
-            let streamed = run_timing_streamed(
+            let mapped = run_timing_mapped(
                 stored.name(),
-                Cursor::new(bytes.clone()),
+                Arc::clone(&mapped_trace),
                 &sys,
                 &engine,
                 0.25,
             )
             .unwrap();
-            assert_eq!(direct, streamed, "{}: streamed != generated", wl.name());
+            assert_eq!(direct, mapped, "{}: mapped != generated", wl.name());
         }
     }
 }
@@ -75,71 +108,69 @@ fn million_record_trace_is_bit_identical_across_paths() {
         interleave(per_node.into_iter().map(Vec::into_iter).collect()).collect(),
     )
     .unwrap();
-    let bytes = tsb1(&stored);
+    let dir = TempDir::new("million");
+    let mapped_trace = dir.map("t.tsb1", &tsb1(&stored));
 
     let sys = SystemConfig::default();
     let engine = EngineKind::Tse(TseConfig::default());
     let direct = run_timing(&wl, &sys, &engine, 42, 0.25).unwrap();
     let replayed = run_timing_stored(&stored, &sys, &engine, 0.25).unwrap();
     assert_eq!(direct, replayed, "stored != generated at 10^6 records");
-    let streamed =
-        run_timing_streamed(stored.name(), Cursor::new(bytes), &sys, &engine, 0.25).unwrap();
-    assert_eq!(direct, streamed, "streamed != generated at 10^6 records");
+    let mapped = run_timing_mapped(stored.name(), mapped_trace, &sys, &engine, 0.25).unwrap();
+    assert_eq!(direct, mapped, "mapped != generated at 10^6 records");
     // The runs did real work: coherent stalls and coverage both nonzero.
     assert!(direct.coherent_stall > 0);
     assert!(direct.engine.covered > 0);
 }
 
 #[test]
-fn streamed_path_variant_matches_and_names_after_file_stem() {
+fn mapped_path_variant_matches_and_names_after_file_stem() {
     let wl = Em3d::scaled(0.02);
     let stored = StoredTrace::from_workload(&wl, 7);
-    let dir = std::env::temp_dir().join(format!("tse-timing-replay-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("em3d.tsb1");
-    std::fs::write(&path, tsb1(&stored)).unwrap();
+    let dir = TempDir::new("stem");
+    let path = dir.write("em3d.tsb1", &tsb1(&stored));
 
     let sys = SystemConfig::default();
     let engine = EngineKind::Baseline;
-    let from_path = run_timing_streamed_path(&path, &sys, &engine, 0.25).unwrap();
+    let from_path = run_timing_mapped_path(&path, &sys, &engine, 0.25).unwrap();
     let from_store = run_timing_stored(&stored, &sys, &engine, 0.25).unwrap();
     assert_eq!(from_path.workload, "em3d");
     assert_eq!(from_path, from_store);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn streamed_timing_rejects_node_count_mismatch_and_corruption() {
+fn mapped_timing_rejects_node_count_mismatch_and_corruption() {
     let stored = StoredTrace::from_workload(&Em3d::scaled(0.02), 1); // 16 nodes
     let bytes = tsb1(&stored);
+    let dir = TempDir::new("reject");
 
     let small = SystemConfig::builder()
         .nodes(4)
         .torus(2, 2)
         .build()
         .unwrap();
-    match run_timing_streamed(
+    match run_timing_mapped(
         "t",
-        Cursor::new(bytes.clone()),
+        dir.map("t.tsb1", &bytes),
         &small,
         &EngineKind::Baseline,
         0.25,
     ) {
-        Err(tse_sim::StreamedReplayError::Config(_)) => {}
+        Err(ReplayError::Config(_)) => {}
         other => panic!("expected a config error, got {other:?}"),
     }
 
     let mut corrupt = bytes;
     let mid = corrupt.len() / 2;
     corrupt[mid] ^= 0x40;
-    match run_timing_streamed(
+    match run_timing_mapped(
         "t",
-        Cursor::new(corrupt),
+        dir.map("corrupt.tsb1", &corrupt),
         &SystemConfig::default(),
         &EngineKind::Baseline,
         0.25,
     ) {
-        Err(tse_sim::StreamedReplayError::Trace(_)) => {}
+        Err(ReplayError::Trace(_)) => {}
         other => panic!("expected a trace error, got {other:?}"),
     }
 }

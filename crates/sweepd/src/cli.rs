@@ -117,6 +117,40 @@ pub fn flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
 }
 
+/// Rejects any `--flag` the command does not read, so a typo'd or
+/// retired flag fails loudly instead of being silently ignored.
+/// `value_flags` take a value (which is skipped, as [`opt`] reads it);
+/// `bool_flags` stand alone, as [`flag`] reads them.
+///
+/// # Errors
+///
+/// [`CliError::Usage`] naming the first unknown flag and the accepted
+/// ones.
+pub fn check_flags(
+    args: &[String],
+    value_flags: &[&str],
+    bool_flags: &[&str],
+) -> Result<(), CliError> {
+    let mut i = 0usize;
+    while i < args.len() {
+        let arg = args[i].as_str();
+        if value_flags.contains(&arg) {
+            i += 2;
+            continue;
+        }
+        if arg.starts_with("--") && !bool_flags.contains(&arg) {
+            let accepted: Vec<&str> = value_flags.iter().chain(bool_flags).copied().collect();
+            return Err(CliError::usage(if accepted.is_empty() {
+                format!("unknown flag `{arg}` (this command takes no flags)")
+            } else {
+                format!("unknown flag `{arg}` (accepted: {})", accepted.join(", "))
+            }));
+        }
+        i += 1;
+    }
+    Ok(())
+}
+
 /// Parses a flag value, classifying failures as usage errors.
 ///
 /// # Errors
@@ -217,6 +251,26 @@ mod tests {
             parse::<u32>("x", "--shards"),
             Err(CliError::Usage(_))
         ));
+    }
+
+    #[test]
+    fn unknown_flags_are_usage_errors() {
+        let args = strs(&["t.tsb1", "--engine", "--odd-value", "--quick"]);
+        assert!(check_flags(&args, &["--engine"], &["--quick"]).is_ok());
+        let err = check_flags(&args, &["--engine"], &[]).unwrap_err();
+        assert!(matches!(err, CliError::Usage(_)));
+        assert!(err.message().contains("`--quick`"), "{err}");
+        assert!(err.message().contains("--engine"), "{err}");
+        let retired = strs(&["t.tsb1", "--threads", "2"]);
+        assert!(matches!(
+            check_flags(&retired, &["--engine", "--nodes"], &[]),
+            Err(CliError::Usage(_))
+        ));
+        assert!(check_flags(&strs(&["a", "b"]), &[], &[]).is_ok());
+        assert!(check_flags(&strs(&["--x"]), &[], &[])
+            .unwrap_err()
+            .message()
+            .contains("takes no flags"));
     }
 
     #[test]

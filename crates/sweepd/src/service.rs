@@ -40,7 +40,8 @@ use tse_trace::corpus::{Corpus, GcReport};
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Maximum shards per dispatch round (each runs on its own thread;
-    /// the replay inside a shard still parallelizes on the `SweepPool`).
+    /// a shard's cells run concurrently on the `SweepPool`, each cell
+    /// replaying sequentially).
     pub workers: u32,
     /// Extra dispatch rounds after the first before a job fails.
     pub retries: u32,

@@ -351,13 +351,6 @@ impl LoweredBlock {
     /// Lowers a slice of records, replacing the previous contents.
     pub fn lower_records(&mut self, records: &[AccessRecord]) {
         self.clear();
-        self.append_records(records);
-    }
-
-    /// Lowers a slice of records onto the end of the block, keeping the
-    /// previous contents — how the epoch-parallel driver accumulates
-    /// several source blocks into one epoch-sized block.
-    pub fn append_records(&mut self, records: &[AccessRecord]) {
         self.ops.reserve(records.len());
         self.nodes.reserve(records.len());
         self.lines.reserve(records.len());
@@ -378,46 +371,6 @@ impl LoweredBlock {
                 r.private_stall,
             );
         }
-    }
-
-    /// Partitions the block's record positions into `shards` per-worker
-    /// index lists for epoch-parallel replay, reusing `out`'s buffers.
-    ///
-    /// Shard `s` receives every read whose node maps to it
-    /// (`node % shards == s`) plus **every write by any node**: foreign
-    /// writes invalidate resident copies, so each shard must observe
-    /// the full write stream for its nodes' cache trajectories to match
-    /// sequential replay. Lists are in ascending position order, so a
-    /// shard sees its records in global interleave order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn partition_by_node_into(&self, shards: usize, out: &mut Vec<Vec<u32>>) {
-        assert!(shards > 0, "at least one shard");
-        out.resize_with(shards, Vec::new);
-        out.truncate(shards);
-        for list in out.iter_mut() {
-            list.clear();
-        }
-        for i in 0..self.ops.len() {
-            let pos = i as u32;
-            if self.ops[i] & OP_WRITE != 0 {
-                for list in out.iter_mut() {
-                    list.push(pos);
-                }
-            } else {
-                out[self.nodes[i] as usize % shards].push(pos);
-            }
-        }
-    }
-
-    /// Allocating convenience wrapper around
-    /// [`partition_by_node_into`](Self::partition_by_node_into).
-    pub fn partition_by_node(&self, shards: usize) -> Vec<Vec<u32>> {
-        let mut out = Vec::new();
-        self.partition_by_node_into(shards, &mut out);
-        out
     }
 
     /// Lowers a decoded [`RecordBatch`], replacing the previous
@@ -651,48 +604,6 @@ mod tests {
         lowered.lower_records(&[]);
         assert!(lowered.is_empty());
         assert_eq!(lowered.max_node(), 0);
-    }
-
-    #[test]
-    fn partition_by_node_covers_reads_once_and_writes_everywhere() {
-        let records = varied_records(5000);
-        let mut lowered = LoweredBlock::new();
-        lowered.lower_records(&records);
-        for shards in [1usize, 2, 3, 4, 7] {
-            let parts = lowered.partition_by_node(shards);
-            assert_eq!(parts.len(), shards);
-            let mut read_seen = vec![0u32; lowered.len()];
-            for (s, list) in parts.iter().enumerate() {
-                assert!(list.windows(2).all(|w| w[0] < w[1]), "ascending order");
-                for &pos in list {
-                    let i = pos as usize;
-                    if lowered.ops()[i] & OP_WRITE != 0 {
-                        continue;
-                    }
-                    assert_eq!(lowered.nodes()[i] as usize % shards, s);
-                    read_seen[i] += 1;
-                }
-                // Every write appears in every shard's list.
-                let writes: Vec<u32> = (0..lowered.len() as u32)
-                    .filter(|&p| lowered.ops()[p as usize] & OP_WRITE != 0)
-                    .collect();
-                let in_list: Vec<u32> = list
-                    .iter()
-                    .copied()
-                    .filter(|&p| lowered.ops()[p as usize] & OP_WRITE != 0)
-                    .collect();
-                assert_eq!(writes, in_list);
-            }
-            for (i, &n) in read_seen.iter().enumerate() {
-                let expect = u32::from(lowered.ops()[i] & OP_WRITE == 0);
-                assert_eq!(n, expect, "read {i} appears exactly once");
-            }
-        }
-        // Buffer reuse across calls is clean.
-        let mut out = lowered.partition_by_node(4);
-        lowered.partition_by_node_into(2, &mut out);
-        assert_eq!(out.len(), 2);
-        assert_eq!(out, lowered.partition_by_node(2));
     }
 
     #[test]

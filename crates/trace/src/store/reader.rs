@@ -316,10 +316,10 @@ impl<R: Read> TraceReader<R> {
     /// Reads the next block *raw*: CRC-validated but still encoded.
     /// Returns `None` at the (validated) trailer.
     ///
-    /// This is the producer half of pipelined replay: a reader thread
-    /// pulls raw blocks off the file while [`decode_block`] turns them
-    /// into records elsewhere (each block decodes independently — the
-    /// codec state resets at block boundaries). Raw reads share the
+    /// Each raw block decodes independently ([`decode_block`], or
+    /// [`RecordBatch::decode`](super::RecordBatch::decode) into reused
+    /// columns) — the codec state resets at block boundaries — so
+    /// decoding can happen anywhere, in any order. Raw reads share the
     /// sequential cursor with record iteration, so they must not be
     /// issued while a block is partially iterated.
     ///

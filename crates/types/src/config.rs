@@ -371,70 +371,6 @@ impl TseConfig {
     }
 }
 
-/// Intra-run parallelism knob for the epoch-parallel replay kernel.
-///
-/// Deliberately *not* part of `RunConfig`-style experiment records:
-/// thread count is an execution-environment choice, never a modelled
-/// parameter, and results are bit-identical across thread counts — so
-/// it must not participate in result cache keys or serialized sweep
-/// specs.
-///
-/// # Example
-///
-/// ```
-/// use tse_types::Parallelism;
-///
-/// assert_eq!(Parallelism::sequential().threads(), 1);
-/// assert_eq!(Parallelism::new(4).threads(), 4);
-/// assert!(Parallelism::auto().threads() >= 1); // host-dependent
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Parallelism {
-    /// Requested worker threads; 0 means "auto" (host parallelism).
-    threads: usize,
-}
-
-impl Default for Parallelism {
-    /// Sequential (one thread): parallel replay is strictly opt-in.
-    fn default() -> Self {
-        Parallelism::sequential()
-    }
-}
-
-impl Parallelism {
-    /// Requests `threads` workers; 0 means "auto" (host parallelism).
-    pub fn new(threads: usize) -> Self {
-        Parallelism { threads }
-    }
-
-    /// The sequential kernel (one thread).
-    pub fn sequential() -> Self {
-        Parallelism { threads: 1 }
-    }
-
-    /// As many workers as the host offers.
-    pub fn auto() -> Self {
-        Parallelism { threads: 0 }
-    }
-
-    /// Resolved worker count: at least 1, with 0 ("auto") replaced by
-    /// the host's available parallelism.
-    pub fn threads(&self) -> usize {
-        if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        } else {
-            self.threads
-        }
-    }
-
-    /// True if this resolves to the sequential kernel.
-    pub fn is_sequential(&self) -> bool {
-        self.threads() <= 1
-    }
-}
-
 /// Builder for [`TseConfig`] (non-consuming, [C-BUILDER]).
 #[derive(Debug, Clone)]
 pub struct TseConfigBuilder {

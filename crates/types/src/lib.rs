@@ -32,7 +32,7 @@ pub mod ops;
 mod time;
 
 pub use addr::{Addr, Line, LINE_BYTES, LINE_SHIFT};
-pub use config::{Parallelism, SystemConfig, SystemConfigBuilder, TseConfig, TseConfigBuilder};
+pub use config::{SystemConfig, SystemConfigBuilder, TseConfig, TseConfigBuilder};
 pub use error::ConfigError;
 pub use fasthash::{FastHashMap, FastHashSet, FastHasher};
 pub use node::NodeId;
