@@ -48,7 +48,7 @@ pub fn bench_cmob(c: &mut Criterion) {
     g.finish();
 }
 
-/// SVB insert/take and a probe miss.
+/// SVB insert/take, LRU eviction from a full buffer, and a probe miss.
 pub fn bench_svb(c: &mut Criterion) {
     let mut g = c.benchmark_group("svb");
     g.bench_function("insert_take", |b| {
@@ -58,6 +58,20 @@ pub fn bench_svb(c: &mut Criterion) {
             i += 1;
             svb.insert(Line::new(i), 0, FillPath::LocalMemory, Cycle::ZERO);
             black_box(svb.take(Line::new(i)));
+        });
+    });
+    g.bench_function("insert_evict_full", |b| {
+        // Every insert into the full 32-entry buffer evicts its oldest
+        // entry: the streaming steady state once lookahead exceeds use.
+        let mut svb = Svb::new(Some(32));
+        let mut i = 0u64;
+        while i < 32 {
+            svb.insert(Line::new(i), 0, FillPath::LocalMemory, Cycle::ZERO);
+            i += 1;
+        }
+        b.iter(|| {
+            i += 1;
+            black_box(svb.insert(Line::new(i), 0, FillPath::LocalMemory, Cycle::ZERO))
         });
     });
     g.bench_function("probe_miss", |b| {
@@ -153,12 +167,12 @@ pub fn bench_directory(c: &mut Criterion) {
 /// L2 lookups and fills.
 pub fn bench_cache(c: &mut Criterion) {
     c.bench_function("cache/l2_get_insert", |b| {
-        let mut cache: SetAssocCache<u64> = SetAssocCache::new(8 * 1024 * 1024, 8).unwrap();
+        let mut cache = SetAssocCache::new(8 * 1024 * 1024, 8).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
         b.iter(|| {
             let l = Line::new(rng.gen_range(0..200_000));
-            if cache.get(l).is_none() {
-                cache.insert(l, 0);
+            if !cache.get(l) {
+                cache.insert(l);
             }
         });
     });
@@ -268,8 +282,13 @@ pub fn bench_result_cache(c: &mut Criterion) {
     g.finish();
 }
 
-/// A full DSM write+read pair through caches, directory and torus.
+/// Building the Table 1 machine (every node's caches written once), and
+/// a full DSM write+read pair through caches, directory and torus.
 pub fn bench_dsm_access(c: &mut Criterion) {
+    c.bench_function("dsm/system_new", |b| {
+        let cfg = SystemConfig::default();
+        b.iter(|| DsmSystem::new(&cfg).unwrap());
+    });
     c.bench_function("dsm/read_write_pair", |b| {
         let cfg = SystemConfig::default();
         let mut dsm = DsmSystem::new(&cfg).unwrap();

@@ -1,6 +1,6 @@
 //! The system-wide Temporal Streaming Engine.
 
-use crate::{Cmob, CmobPtr, DirectoryPointers, Pop, StreamQueue, Svb, SvbEntry, TseStats};
+use crate::{Cmob, CmobPtr, DirectoryPointers, Pop, StreamQueue, SvbEntry, SvbSet, TseStats};
 use tse_interconnect::TrafficClass;
 use tse_memsim::{DsmSystem, FastHashMap, MissClass};
 use tse_types::ops::{OP_SPIN, OP_WRITE};
@@ -27,16 +27,17 @@ pub struct SvbHit {
     pub full_latency: Cycle,
 }
 
-/// Per-node stream engine state: the node's CMOB, its SVB, its stream
-/// queues, and the lookup maps that keep the per-miss and per-hit paths
-/// O(1) instead of scanning every queue.
+/// Per-node stream engine state: the node's CMOB, its stream queues,
+/// and the lookup maps that keep the per-miss and per-hit paths O(1)
+/// instead of scanning every queue.
 ///
-/// Every per-node component lives in exactly one of these, mirroring
-/// the DSM's per-node cache state.
+/// Every per-node component except the SVB lives in exactly one of
+/// these, mirroring the DSM's per-node cache state. The SVBs live
+/// together in the engine's [`SvbSet`], whose residency index lets a
+/// write find every buffered copy of a line without probing each node.
 #[derive(Debug)]
 struct EngineNode {
     cmob: Cmob,
-    svb: Svb,
     queues: Vec<StreamQueue>,
     /// Queue id → current position in `queues`, maintained across
     /// `swap_remove` evictions (SVB hits resolve their owning queue
@@ -54,10 +55,9 @@ struct EngineNode {
 }
 
 impl EngineNode {
-    fn new(cmob_capacity: usize, svb_entries: Option<usize>) -> Self {
+    fn new(cmob_capacity: usize) -> Self {
         EngineNode {
             cmob: Cmob::new(cmob_capacity),
-            svb: Svb::new(svb_entries),
             queues: Vec::new(),
             qindex: FastHashMap::default(),
             head_index: FastHashMap::default(),
@@ -177,6 +177,7 @@ pub struct TemporalStreamingEngine {
     sys_cfg: SystemConfig,
     pointers: DirectoryPointers,
     nodes: Vec<EngineNode>,
+    svbs: SvbSet,
     stats: TseStats,
     next_qid: u64,
     lru_tick: u64,
@@ -196,11 +197,12 @@ impl TemporalStreamingEngine {
         sys.validate()?;
         tse.validate()?;
         let nodes = (0..sys.nodes)
-            .map(|_| EngineNode::new(tse.cmob_capacity, tse.svb_entries))
+            .map(|_| EngineNode::new(tse.cmob_capacity))
             .collect();
         Ok(TemporalStreamingEngine {
             pointers: DirectoryPointers::new(tse.directory_pointers),
             nodes,
+            svbs: SvbSet::new(sys.nodes, tse.svb_entries),
             stats: TseStats::default(),
             next_qid: 0,
             lru_tick: 0,
@@ -252,7 +254,7 @@ impl TemporalStreamingEngine {
 
     /// Whether `node`'s SVB currently holds `line`.
     pub fn svb_contains(&self, node: NodeId, line: Line) -> bool {
-        self.nodes[node.index()].svb.contains(line)
+        self.svbs.contains(node, line)
     }
 
     // ------------------------------------------------------------------
@@ -276,7 +278,7 @@ impl TemporalStreamingEngine {
         now: Cycle,
     ) -> Option<SvbHit> {
         let n = node.index();
-        let entry = self.nodes[n].svb.take(line)?;
+        let entry = self.svbs.take(node, line)?;
 
         self.stats.covered += 1;
         dsm.account_fill_traffic(node, entry.fill, TrafficClass::Demand);
@@ -540,11 +542,10 @@ impl TemporalStreamingEngine {
     /// every SVB: matching entries are invalidated and their fetches
     /// become discards.
     pub fn write(&mut self, dsm: &mut DsmSystem, line: Line) {
-        for n in 0..self.nodes.len() {
-            if let Some(entry) = self.nodes[n].svb.invalidate(line) {
-                self.discard(dsm, NodeId::new(n as u16), entry, false);
-            }
-        }
+        let stats = &mut self.stats;
+        self.svbs.invalidate(line, |node, entry| {
+            discard(stats, dsm, node, entry, false);
+        });
     }
 
     // ------------------------------------------------------------------
@@ -557,8 +558,8 @@ impl TemporalStreamingEngine {
     pub fn finish(&mut self, dsm: &mut DsmSystem) {
         for n in 0..self.nodes.len() {
             let node = NodeId::new(n as u16);
-            for entry in self.nodes[n].svb.drain() {
-                self.discard(dsm, node, entry, true);
+            for entry in self.svbs.drain(node) {
+                discard(&mut self.stats, dsm, node, entry, true);
             }
             let queues = std::mem::take(&mut self.nodes[n].queues);
             self.nodes[n].qindex.clear();
@@ -752,8 +753,7 @@ impl TemporalStreamingEngine {
         line: Line,
         now: Cycle,
     ) {
-        let n = node.index();
-        if dsm.peek_local(node, line) || self.nodes[n].svb.contains(line) {
+        if dsm.peek_local(node, line) || self.svbs.contains(node, line) {
             self.stats.skipped_fetches += 1;
             return;
         }
@@ -764,21 +764,27 @@ impl TemporalStreamingEngine {
         } else {
             Cycle::ZERO
         };
-        if let Some(victim) = self.nodes[n].svb.insert(line, qid, fill, ready_at) {
-            self.discard(dsm, node, victim, true);
+        if let Some(victim) = self.svbs.insert(node, line, qid, fill, ready_at) {
+            discard(&mut self.stats, dsm, node, victim, true);
         }
-        self.nodes[n].queues[qidx].outstanding += 1;
+        self.nodes[node.index()].queues[qidx].outstanding += 1;
     }
+}
 
-    /// Books a never-used streamed block: its fetch traffic is overhead,
-    /// and (unless a write already removed it) its sharer registration is
-    /// dropped.
-    fn discard(&mut self, dsm: &mut DsmSystem, node: NodeId, entry: SvbEntry, drop_sharer: bool) {
-        self.stats.discarded += 1;
-        dsm.account_fill_traffic(node, entry.fill, TrafficClass::DiscardedData);
-        if drop_sharer {
-            dsm.drop_sharer(node, entry.line);
-        }
+/// Books a never-used streamed block: its fetch traffic is overhead,
+/// and (unless a write already removed it) its sharer registration is
+/// dropped.
+fn discard(
+    stats: &mut TseStats,
+    dsm: &mut DsmSystem,
+    node: NodeId,
+    entry: SvbEntry,
+    drop_sharer: bool,
+) {
+    stats.discarded += 1;
+    dsm.account_fill_traffic(node, entry.fill, TrafficClass::DiscardedData);
+    if drop_sharer {
+        dsm.drop_sharer(node, entry.line);
     }
 }
 

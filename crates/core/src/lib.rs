@@ -17,7 +17,7 @@
 //! | Coherence miss order buffer (CMOB) | [`Cmob`] |
 //! | Directory CMOB-pointer extension | [`DirectoryPointers`] |
 //! | Stream queues (FIFO groups + comparators) | [`StreamQueue`] |
-//! | Streamed value buffer (SVB) | [`Svb`] |
+//! | Streamed value buffer (SVB) | [`Svb`], one per node in an [`SvbSet`] |
 //! | The engine itself | [`TemporalStreamingEngine`] |
 //!
 //! The coordinator drives a [`tse_memsim::DsmSystem`]; see
@@ -39,4 +39,4 @@ pub use engine::{SvbHit, TemporalStreamingEngine};
 pub use pointers::{CmobPtr, DirectoryPointers};
 pub use queue::{Fifo, FifoSet, FifoSetIter, Pop, StreamQueue, MAX_FIFOS};
 pub use stats::TseStats;
-pub use svb::{Svb, SvbEntry};
+pub use svb::{Svb, SvbEntry, SvbSet};

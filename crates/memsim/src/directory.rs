@@ -17,16 +17,21 @@ pub enum DirState {
 /// One directory entry.
 ///
 /// `version` counts write-ownership acquisitions: it increments each time
-/// a *different* access-epoch writer takes the line exclusively. A node
-/// that cached the line at version `v` holds stale data iff the entry's
-/// version exceeds `v` — this is how [`crate::DsmSystem`] classifies
-/// coherence misses precisely.
+/// a node that does not already hold the line exclusively writes it.
+/// `held` is the set of nodes that have held the line *since* that
+/// version was created: a read fill, a stream fetch or an install adds
+/// the node, and a version-bumping write resets it to the writer alone.
+/// Evictions and invalidations leave it alone. A read miss by a node in
+/// `held` lost data that is still current (a replacement miss); a read
+/// miss by any other node fetches data produced since it last held the
+/// line (a coherence miss). This is how [`crate::DsmSystem`] classifies
+/// misses, with no per-node history outside the directory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DirectoryEntry {
     /// Current sharing state.
     pub state: DirState,
-    /// The last node to have written the line, if any.
-    pub last_writer: Option<NodeId>,
+    /// Bitmask of nodes that have held the current version.
+    pub held: u64,
     /// Write-ownership generation counter (0 = never written).
     pub version: u64,
 }
@@ -35,7 +40,7 @@ impl DirectoryEntry {
     fn new() -> Self {
         DirectoryEntry {
             state: DirState::Uncached,
-            last_writer: None,
+            held: 0,
             version: 0,
         }
     }
@@ -57,6 +62,9 @@ pub struct ReadFill {
     pub supplier: Option<NodeId>,
     /// The entry's write-generation counter (unchanged by reads).
     pub version: u64,
+    /// Whether the reader was already in [`DirectoryEntry::held`] before
+    /// this fill added it, i.e. had held the current version before.
+    pub held: bool,
 }
 
 /// Outcome of a fused write transaction ([`Directory::write_acquire`]).
@@ -64,8 +72,6 @@ pub struct ReadFill {
 pub struct WriteGrant {
     /// Bitmask of nodes whose copies were invalidated.
     pub invalidated: u64,
-    /// The entry's write-generation counter after the acquisition.
-    pub version: u64,
     /// True if the writer already held the line exclusively (a silent
     /// upgrade: no state change, no version bump). Reported so
     /// [`crate::DsmSystem`] can detect silent store hits without a
@@ -73,33 +79,41 @@ pub struct WriteGrant {
     pub was_exclusive: bool,
 }
 
-/// Compact stored form of a directory entry: 24 bytes instead of the
-/// 32-byte enum form, so a map slot (key + entry) stays within one cache
-/// line — the directory table is megabytes and probed cold on every
-/// simulated miss, so bytes per probe are what the hot path pays for.
+/// Compact stored form of a directory entry: 24 bytes, so a map slot
+/// (key + entry) is 32 bytes, two to a host cache line — the directory
+/// table is megabytes and probed cold on every simulated miss, so bytes
+/// per probe are what the hot path pays for.
 ///
-/// Encoding: `mask == 0` is `Uncached`; otherwise `MODIFIED` in `flags`
-/// distinguishes `Modified` (mask = owner's bit) from `Shared`.
-/// `last_writer == u16::MAX` means none (node ids are bounded by 64).
-#[derive(Debug, Clone, Copy)]
+/// Encoding: `mask == 0` is `Uncached`; otherwise the `MODIFIED` bit of
+/// `ver` distinguishes `Modified` (mask = owner's bit) from `Shared`.
+/// The version lives in the remaining 63 bits of `ver`.
+#[derive(Debug, Clone, Copy, Default)]
 struct PackedEntry {
     /// Sharer bitmask (`Shared`), or the owner's bit (`Modified`).
     mask: u64,
-    /// Write-ownership generation counter (0 = never written).
-    version: u64,
-    /// Last writer's node index, or `u16::MAX` for none.
-    last_writer: u16,
-    /// Bit 0: the line is exclusively owned (`Modified`).
-    flags: u8,
+    /// Nodes that have held the current version.
+    held: u64,
+    /// `version << 1 | MODIFIED`.
+    ver: u64,
 }
 
-const MODIFIED: u8 = 1;
-const NO_WRITER: u16 = u16::MAX;
+/// Bit 0 of [`PackedEntry::ver`]: the line is exclusively owned.
+const MODIFIED: u64 = 1;
 
 impl PackedEntry {
     #[inline]
+    fn modified(&self) -> bool {
+        self.ver & MODIFIED != 0
+    }
+
+    #[inline]
+    fn version(&self) -> u64 {
+        self.ver >> 1
+    }
+
+    #[inline]
     fn owner(&self) -> NodeId {
-        debug_assert!(self.flags & MODIFIED != 0 && self.mask != 0);
+        debug_assert!(self.modified() && self.mask != 0);
         NodeId::new(self.mask.trailing_zeros() as u16)
     }
 
@@ -107,24 +121,13 @@ impl PackedEntry {
         DirectoryEntry {
             state: if self.mask == 0 {
                 DirState::Uncached
-            } else if self.flags & MODIFIED != 0 {
+            } else if self.modified() {
                 DirState::Modified(self.owner())
             } else {
                 DirState::Shared(self.mask)
             },
-            last_writer: (self.last_writer != NO_WRITER).then(|| NodeId::new(self.last_writer)),
-            version: self.version,
-        }
-    }
-}
-
-impl Default for PackedEntry {
-    fn default() -> Self {
-        PackedEntry {
-            mask: 0,
-            version: 0,
-            last_writer: NO_WRITER,
-            flags: 0,
+            held: self.held,
+            version: self.version(),
         }
     }
 }
@@ -210,25 +213,38 @@ impl Directory {
     }
 
     /// The fused read-miss transaction: registers `node` as a sharer
-    /// (exactly as [`Directory::add_sharer`]) and reports the entry's
-    /// version in the same map lookup. [`crate::DsmSystem`] needs both
-    /// on every miss — the version classifies the miss and stamps the
-    /// fill — and the directory map sits on the hot path of every
-    /// simulated access.
+    /// (exactly as [`Directory::add_sharer`]) and adds it to the
+    /// [`DirectoryEntry::held`] set, reporting the entry's version and
+    /// whether the node was already in that set, in the same map lookup.
+    /// [`crate::DsmSystem`] needs both on every miss to classify it, and
+    /// the directory map sits on the hot path of every simulated access.
     pub fn read_fill(&mut self, node: NodeId, line: Line) -> ReadFill {
         let e = self.entry_mut(line);
-        let supplier = if e.flags & MODIFIED != 0 {
+        let own = Self::mask(node);
+        let supplier = if e.modified() {
             let owner = e.owner();
-            e.flags &= !MODIFIED;
-            e.mask |= Self::mask(node);
+            e.ver &= !MODIFIED;
             (owner != node).then_some(owner)
         } else {
-            e.mask |= Self::mask(node);
             None
         };
+        e.mask |= own;
+        let held = e.held & own != 0;
+        e.held |= own;
         ReadFill {
             supplier,
-            version: e.version,
+            version: e.version(),
+            held,
+        }
+    }
+
+    /// Adds `node` to the line's [`DirectoryEntry::held`] set without
+    /// touching the sharing state (a streamed block moving into the
+    /// node's caches). A line with no directory state is left alone: it
+    /// was never written, and the first write resets the set anyway.
+    pub fn mark_held(&mut self, node: NodeId, line: Line) {
+        if let Some(e) = self.entries.get_mut(line) {
+            e.held |= Self::mask(node);
         }
     }
 
@@ -236,34 +252,32 @@ impl Directory {
     /// all other copies.
     ///
     /// Returns the bitmask of nodes whose copies were invalidated (the
-    /// caller must drop their cached/streamed copies). Bumps the version
-    /// unless `node` already owned the line exclusively.
+    /// caller must drop their cached/streamed copies). Unless `node`
+    /// already owned the line exclusively, bumps the version and resets
+    /// [`DirectoryEntry::held`] to `node` alone.
     pub fn acquire_exclusive(&mut self, node: NodeId, line: Line) -> u64 {
         self.write_acquire(node, line).invalidated
     }
 
     /// The fused write transaction: [`Directory::acquire_exclusive`]
-    /// plus the resulting version, in one map lookup (the version tags
-    /// the writer's cache fill).
+    /// plus whether it was a silent upgrade, in one map lookup.
     pub fn write_acquire(&mut self, node: NodeId, line: Line) -> WriteGrant {
         let e = self.entry_mut(line);
         let own = Self::mask(node);
-        if e.flags & MODIFIED != 0 && e.mask == own {
+        if e.modified() && e.mask == own {
             // Silent upgrade: still the exclusive owner.
             return WriteGrant {
                 invalidated: 0,
-                version: e.version,
                 was_exclusive: true,
             };
         }
         let invalidated = e.mask & !own;
         e.mask = own;
-        e.flags |= MODIFIED;
-        e.last_writer = node.index() as u16;
-        e.version += 1;
+        e.held = own;
+        // Bump the version (bits 1..) and set MODIFIED (bit 0).
+        e.ver = (e.ver | MODIFIED) + 2;
         WriteGrant {
             invalidated,
-            version: e.version,
             was_exclusive: false,
         }
     }
@@ -278,10 +292,10 @@ impl Directory {
             return false;
         };
         let own = Self::mask(node);
-        if e.flags & MODIFIED != 0 {
+        if e.modified() {
             if e.mask == own {
                 e.mask = 0;
-                e.flags &= !MODIFIED;
+                e.ver &= !MODIFIED;
                 true
             } else {
                 false
@@ -311,7 +325,7 @@ mod tests {
         let e = d.entry(Line::new(1));
         assert_eq!(e.state, DirState::Uncached);
         assert_eq!(e.version, 0);
-        assert_eq!(e.last_writer, None);
+        assert_eq!(e.held, 0);
         assert!(d.is_empty());
     }
 
@@ -335,7 +349,7 @@ mod tests {
         let inval = d.acquire_exclusive(c, l);
         assert_eq!(inval, 0b011);
         assert_eq!(d.entry(l).version, 1);
-        assert_eq!(d.entry(l).last_writer, Some(c));
+        assert_eq!(d.entry(l).held, 0b100, "a write resets held to the writer");
         assert!(!d.holds(a, l) && !d.holds(b, l) && d.holds(c, l));
     }
 
@@ -406,7 +420,6 @@ mod tests {
                     let g = fused.write_acquire(n, l);
                     let invalidated = split.acquire_exclusive(n, l);
                     assert_eq!(g.invalidated, invalidated);
-                    assert_eq!(g.version, split.entry(l).version);
                 }
             }
             assert_eq!(fused.entry(l), split.entry(l));
@@ -414,14 +427,49 @@ mod tests {
     }
 
     #[test]
-    fn silent_upgrade_grant_reports_version() {
+    fn silent_upgrade_grant_reports_exclusive() {
         let mut d = Directory::new(4);
         let l = Line::new(5);
         let w = NodeId::new(0);
-        assert_eq!(d.write_acquire(w, l).version, 1);
+        assert!(!d.write_acquire(w, l).was_exclusive);
         let g = d.write_acquire(w, l);
         assert_eq!(g.invalidated, 0);
-        assert_eq!(g.version, 1, "silent upgrade keeps the version");
+        assert!(g.was_exclusive);
+        assert_eq!(d.entry(l).version, 1, "silent upgrade keeps the version");
+    }
+
+    #[test]
+    fn packed_entry_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<PackedEntry>(), 24);
+    }
+
+    #[test]
+    fn held_tracks_holders_of_the_current_version() {
+        let mut d = Directory::new(4);
+        let l = Line::new(6);
+        let (a, b) = (NodeId::new(0), NodeId::new(1));
+        // First fill: not held before, held after.
+        assert!(!d.read_fill(a, l).held);
+        assert_eq!(d.entry(l).held, 0b01);
+        // Eviction keeps the held bit: a re-read lost current data.
+        d.remove_node(a, l);
+        assert!(d.read_fill(a, l).held);
+        // A version-bumping write resets the set to the writer.
+        d.write_acquire(b, l);
+        assert_eq!(d.entry(l).held, 0b10);
+        assert!(!d.read_fill(a, l).held);
+        // A silent upgrade keeps it.
+        let mut d = Directory::new(4);
+        d.write_acquire(a, l);
+        d.write_acquire(a, l);
+        assert_eq!(d.entry(l).held, 0b01);
+        // mark_held adds without registering a sharer.
+        d.mark_held(b, l);
+        assert_eq!(d.entry(l).held, 0b11);
+        assert_eq!(d.entry(l).state, DirState::Modified(a));
+        // ...and leaves lines with no state alone.
+        d.mark_held(b, Line::new(99));
+        assert_eq!(d.len(), 1);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Open-addressed map keyed by cache [`Line`].
 //!
-//! The directory's entry table and every node's seen-version table are
-//! probed on *every* simulated miss; together they dominated the
-//! `dsm/read_write_pair` kernel (~0.6 µs, mostly `HashMap` lookups).
-//! [`LineMap`] replaces them with a flat, linear-probed table tailored
-//! to exactly what those call sites need:
+//! The directory's entry table is probed on *every* simulated miss (it
+//! also classifies the miss: see [`crate::DirectoryEntry::held`]); as a
+//! `HashMap` it dominated the `dsm/read_write_pair` kernel. [`LineMap`]
+//! replaces it with a flat, linear-probed table tailored to exactly
+//! what the directory needs:
 //!
 //! * keys are line indices (`u64`), hashed with one multiply-xor mix —
 //!   no `Hasher` plumbing, no per-byte loop;

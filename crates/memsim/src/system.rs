@@ -1,14 +1,15 @@
 //! The DSM system model: per-node cache hierarchies + directory protocol.
 //!
 //! The model is split along the axis the paper's machine is built on:
-//! everything a node owns privately lives in a per-node `NodeState`
-//! (the L1/L2 caches and MRU way hints of `NodeCaches`, plus the
-//! seen-version map), and everything nodes serialize through lives in
-//! the shared `CoherencePlane` (directory, traffic accounting, miss
-//! ordering). [`DsmSystem`] is the facade over the two.
+//! everything a node owns privately lives in a per-node `NodeCaches`
+//! (the L1/L2 caches and their MRU way hints), and everything nodes
+//! serialize through lives in the shared `CoherencePlane` (directory,
+//! traffic accounting, miss ordering). Miss classification needs no
+//! per-node state: the directory entry records which nodes have held
+//! the line's current version ([`crate::DirectoryEntry::held`]).
+//! [`DsmSystem`] is the facade over the two.
 
-use crate::{Directory, FastHashMap, MemStats, SetAssocCache};
-use std::collections::hash_map::Entry;
+use crate::{Directory, MemStats, SetAssocCache};
 use tse_interconnect::{Torus, Traffic, TrafficClass, TrafficScratch};
 use tse_types::{ConfigError, Line, NodeId, SystemConfig, LINE_BYTES};
 
@@ -103,12 +104,14 @@ pub struct WriteOutcome {
     /// True if the write completed without a directory transaction
     /// (the node already held the line exclusively).
     pub silent: bool,
-    /// Bitmask of nodes whose copies were invalidated; the caller must
-    /// propagate these to any streamed-value buffers it maintains.
+    /// Bitmask of nodes whose registered copies (cached, or fetched
+    /// into a stream buffer) were invalidated. Their cached copies are
+    /// already gone; stream buffers beside the hierarchy must drop
+    /// their own copies of the line.
     pub invalidated: u64,
 }
 
-/// The pure-cache half of one node: its L1/L2 hierarchy plus the
+/// Everything the DSM keeps per node: its L1/L2 hierarchy plus the
 /// last-hit way hints that accelerate probes (see
 /// [`SetAssocCache::get_hinted`]). The caches are *pure* with respect
 /// to hints: `get_hinted` produces identical observable state for any
@@ -116,8 +119,8 @@ pub struct WriteOutcome {
 /// correctness dependency.
 #[derive(Debug)]
 struct NodeCaches {
-    l1: SetAssocCache<u64>,
-    l2: SetAssocCache<u64>,
+    l1: SetAssocCache,
+    l2: SetAssocCache,
     l1_hint: usize,
     l2_hint: usize,
 }
@@ -131,18 +134,6 @@ impl NodeCaches {
             l2_hint: usize::MAX,
         })
     }
-}
-
-/// Everything the DSM keeps per node: the cache hierarchy and the
-/// seen-version map that classifies this node's misses.
-#[derive(Debug)]
-struct NodeState {
-    caches: NodeCaches,
-    /// Last directory version of each line the node held.
-    /// Stays a SwissTable-backed map: these 16 tables are probed cold
-    /// (each node's map sees 1/16th of the traffic), where the compact
-    /// control bytes beat an open-addressed u64 probe on cache misses.
-    seen: FastHashMap<Line, u64>,
 }
 
 /// The shared half of the DSM — the state every node's accesses
@@ -176,7 +167,7 @@ struct CoherencePlane {
 /// crate docs for an end-to-end example.
 #[derive(Debug)]
 pub struct DsmSystem {
-    nodes: Vec<NodeState>,
+    nodes: Vec<NodeCaches>,
     plane: CoherencePlane,
 }
 
@@ -193,13 +184,9 @@ impl DsmSystem {
             return Err(ConfigError::new("DsmSystem supports at most 64 nodes"));
         }
         let torus = Torus::from_config(cfg)?;
-        let mut nodes = Vec::with_capacity(cfg.nodes);
-        for _ in 0..cfg.nodes {
-            nodes.push(NodeState {
-                caches: NodeCaches::new(cfg)?,
-                seen: FastHashMap::default(),
-            });
-        }
+        let nodes = (0..cfg.nodes)
+            .map(|_| NodeCaches::new(cfg))
+            .collect::<Result<_, _>>()?;
         Ok(DsmSystem {
             nodes,
             plane: CoherencePlane {
@@ -277,17 +264,17 @@ impl DsmSystem {
     /// (the caller decides whether to consult a streamed-value buffer
     /// before paying for the directory transaction).
     pub fn probe_local(&mut self, node: NodeId, line: Line) -> Option<HitLevel> {
-        let c = &mut self.nodes[node.index()].caches;
-        if c.l1.get_hinted(line, &mut c.l1_hint).is_some() {
+        let c = &mut self.nodes[node.index()];
+        if c.l1.get_hinted(line, &mut c.l1_hint) {
             self.plane.stats.l1_hits += 1;
             return Some(HitLevel::L1);
         }
-        if let Some(version) = c.l2.get_hinted(line, &mut c.l2_hint) {
+        if c.l2.get_hinted(line, &mut c.l2_hint) {
             self.plane.stats.l2_hits += 1;
             // Inclusive fill into L1; L1 victims are clean (write-through
             // to L2 is implied) and evicted silently. The L1 missed just
             // above, so the fill skips the residency scan.
-            c.l1.insert_absent(line, version);
+            c.l1.insert_absent(line);
             return Some(HitLevel::L2);
         }
         None
@@ -297,7 +284,7 @@ impl DsmSystem {
     /// effects). Used by the stream engine to skip fetching blocks the
     /// consumer already has.
     pub fn peek_local(&self, node: NodeId, line: Line) -> bool {
-        let c = &self.nodes[node.index()].caches;
+        let c = &self.nodes[node.index()];
         c.l1.contains(line) || c.l2.contains(line)
     }
 
@@ -305,24 +292,17 @@ impl DsmSystem {
     /// moves from the SVB into the hierarchy on a hit). The node must
     /// already be registered as a sharer (the stream fetch did that).
     pub fn install(&mut self, node: NodeId, line: Line) {
-        let version = self.plane.directory.entry(line).version;
-        self.fill_caches(node, line, version);
+        self.plane.directory.mark_held(node, line);
+        self.fill_hierarchy(node, line);
     }
 
-    fn fill_caches(&mut self, node: NodeId, line: Line, version: u64) {
-        self.fill_hierarchy(node, line, version);
-        self.nodes[node.index()].seen.insert(line, version);
-    }
-
-    /// The L1/L2 half of [`DsmSystem::fill_caches`], for callers that
-    /// have already updated the node's seen-version slot in place.
-    fn fill_hierarchy(&mut self, node: NodeId, line: Line, version: u64) {
+    /// Fills `line` into the node's L2 and L1, handling the L2 victim.
+    fn fill_hierarchy(&mut self, node: NodeId, line: Line) {
         let n = node.index();
-        let c = &mut self.nodes[n].caches;
-        if let Some((victim, _)) = c.l2.insert(line, version) {
+        if let Some(victim) = self.nodes[n].l2.insert(line) {
             self.handle_l2_eviction(node, victim);
         }
-        self.nodes[n].caches.l1.insert(line, version);
+        self.nodes[n].l1.insert(line);
     }
 
     /// [`DsmSystem::fill_hierarchy`] for a line proven absent from both
@@ -330,18 +310,17 @@ impl DsmSystem {
     /// intervening insertion): skips both residency scans. L1 absence
     /// follows from L2 absence by inclusion; the eviction handler only
     /// removes lines, so the L1 stays clear of `line` across it.
-    fn fill_hierarchy_absent(&mut self, node: NodeId, line: Line, version: u64) {
+    fn fill_hierarchy_absent(&mut self, node: NodeId, line: Line) {
         let n = node.index();
-        let c = &mut self.nodes[n].caches;
-        if let Some((victim, _)) = c.l2.insert_absent(line, version) {
+        if let Some(victim) = self.nodes[n].l2.insert_absent(line) {
             self.handle_l2_eviction(node, victim);
         }
-        self.nodes[n].caches.l1.insert_absent(line, version);
+        self.nodes[n].l1.insert_absent(line);
     }
 
     fn handle_l2_eviction(&mut self, node: NodeId, victim: Line) {
         // Inclusion: drop the L1 copy.
-        self.nodes[node.index()].caches.l1.invalidate(victim);
+        self.nodes[node.index()].l1.invalidate(victim);
         self.plane.stats.evictions += 1;
         let home = self.home_of(victim);
         let dirty = self.plane.directory.remove_node(node, victim);
@@ -403,9 +382,9 @@ impl DsmSystem {
         if count > 1 {
             self.plane.stats.reads += count - 1;
             self.plane.stats.l1_hits += count - 1;
-            let c = &mut self.nodes[node.index()].caches;
+            let c = &mut self.nodes[node.index()];
             let hit = c.l1.get_repeat(line, &mut c.l1_hint, count - 1);
-            debug_assert!(hit.is_some(), "line absent from L1 right after a read");
+            debug_assert!(hit, "line absent from L1 right after a read");
         }
         first
     }
@@ -422,9 +401,9 @@ impl DsmSystem {
         debug_assert!(count > 0, "probe_repeat of zero probes");
         self.plane.stats.reads += count;
         self.plane.stats.l1_hits += count;
-        let c = &mut self.nodes[node.index()].caches;
+        let c = &mut self.nodes[node.index()];
         let hit = c.l1.get_repeat(line, &mut c.l1_hint, count);
-        debug_assert!(hit.is_some(), "probe_repeat of a line absent from L1");
+        debug_assert!(hit, "probe_repeat of a line absent from L1");
     }
 
     /// Counts a read access that was satisfied outside the hierarchy
@@ -440,23 +419,17 @@ impl DsmSystem {
     /// traffic. Callers must have established that the local hierarchy
     /// (and any SVB) missed.
     pub fn read_miss(&mut self, node: NodeId, line: Line) -> MissInfo {
-        // One fused directory transaction: sharer registration + version
-        // (reads never change the version, so it also classifies).
+        // One fused directory transaction registers the sharer and
+        // classifies: never-written data is cold; a node that already
+        // held the current version lost it to eviction (replacement);
+        // anyone else reads data produced since it last held the line.
         let grant = self.plane.directory.read_fill(node, line);
-        // One probe of the seen-version table serves both the
-        // classification read and the update.
-        let v_seen = match self.nodes[node.index()].seen.entry(line) {
-            Entry::Occupied(mut e) => Some(e.insert(grant.version)),
-            Entry::Vacant(e) => {
-                e.insert(grant.version);
-                None
-            }
-        };
-        let class = match (v_seen, grant.version) {
-            (_, 0) => MissClass::Cold,
-            (None, _) => MissClass::Coherence,
-            (Some(v), cur) if cur > v => MissClass::Coherence,
-            _ => MissClass::Replacement,
+        let class = if grant.version == 0 {
+            MissClass::Cold
+        } else if grant.held {
+            MissClass::Replacement
+        } else {
+            MissClass::Coherence
         };
 
         let home = self.home_of(line);
@@ -469,7 +442,7 @@ impl DsmSystem {
 
         // The caller established a local miss, so the fill is
         // scan-free (see `fill_hierarchy_absent`).
-        self.fill_hierarchy_absent(node, line, grant.version);
+        self.fill_hierarchy_absent(node, line);
 
         match class {
             MissClass::Cold => self.plane.stats.cold_misses += 1,
@@ -540,7 +513,6 @@ impl DsmSystem {
     pub fn stream_fetch(&mut self, node: NodeId, line: Line) -> FillPath {
         let home = self.home_of(line);
         let grant = self.plane.directory.read_fill(node, line);
-        self.nodes[node.index()].seen.insert(line, grant.version);
         match grant.supplier {
             Some(owner) if owner != node => FillPath::RemoteCache { home, owner },
             _ if home == node => FillPath::LocalMemory,
@@ -578,17 +550,17 @@ impl DsmSystem {
 
         if grant.was_exclusive {
             // Silent store hit: refresh LRU (a `get` that provably hits).
-            let c = &mut self.nodes[n].caches;
+            let c = &mut self.nodes[n];
             let refreshed = c.l2.get_hinted(line, &mut c.l2_hint);
-            debug_assert!(refreshed.is_some(), "exclusive owner lost its L2 copy");
-            c.l1.insert(line, grant.version);
+            debug_assert!(refreshed, "exclusive owner lost its L2 copy");
+            c.l1.insert(line);
             return WriteOutcome {
                 silent: true,
                 invalidated: 0,
             };
         }
 
-        let had_line = self.nodes[n].caches.l2.contains(line);
+        let had_line = self.nodes[n].l2.contains(line);
         let invalidated = grant.invalidated;
         self.plane.stats.write_transactions += 1;
         let home = self.home_of(line);
@@ -629,19 +601,18 @@ impl DsmSystem {
                 hdr,
             );
             // Remove the line from the victim's hierarchy.
-            let c = &mut self.nodes[victim.index()].caches;
+            let c = &mut self.nodes[victim.index()];
             c.l1.invalidate(line);
             c.l2.invalidate(line);
         }
 
         if had_line {
-            self.fill_caches(node, line, grant.version);
+            self.fill_hierarchy(node, line);
         } else {
             // The writer's L2 missed (and with it the inclusive L1), and
             // the invalidations above only touched other nodes: the fill
             // skips both residency scans.
-            self.fill_hierarchy_absent(node, line, grant.version);
-            self.nodes[n].seen.insert(line, grant.version);
+            self.fill_hierarchy_absent(node, line);
         }
         WriteOutcome {
             silent: false,
@@ -649,8 +620,8 @@ impl DsmSystem {
         }
     }
 
-    /// Resets statistics and traffic (caches, directory and seen-version
-    /// state stay warm), e.g. between warm-up and measurement.
+    /// Resets statistics and traffic (cache and directory state stay
+    /// warm), e.g. between warm-up and measurement.
     pub fn reset_stats(&mut self) {
         self.plane.stats = MemStats::default();
         self.plane.traffic = Traffic::new(&self.plane.torus);
@@ -845,8 +816,9 @@ mod tests {
 
     #[test]
     fn read_after_stream_fetch_without_install_still_classifies_replacement() {
-        // stream_fetch records `seen`; if the SVB entry is lost and the
-        // data unchanged, the demand miss is a replacement, not coherence.
+        // stream_fetch marks the consumer as a holder of the current
+        // version; if the SVB entry is lost and the data unchanged, the
+        // demand miss is a replacement, not coherence.
         let mut d = dsm();
         let (producer, consumer) = (NodeId::new(0), NodeId::new(1));
         let l = Line::new(11);
@@ -959,6 +931,77 @@ mod tests {
         assert!(two_hop < three_hop, "{two_hop} !< {three_hop}");
         // Local: controller (16) + memory (240 cy at 4 GHz).
         assert_eq!(local.raw(), 16 + 240);
+    }
+
+    /// A test-only copy of the per-node seen-version rule the directory's
+    /// `held` set replaced: every fill, stream fetch, install and
+    /// version-bumping write records the line's current version for the
+    /// node, and a read miss is cold on never-written data, coherence
+    /// when the node never saw the line or saw an older version, and
+    /// replacement otherwise.
+    #[derive(Default)]
+    struct SeenModel {
+        seen: std::collections::HashMap<(NodeId, Line), u64>,
+    }
+
+    impl SeenModel {
+        fn record(&mut self, d: &DsmSystem, node: NodeId, line: Line) {
+            let version = d.directory().entry(line).version;
+            self.seen.insert((node, line), version);
+        }
+
+        fn classify(&self, d: &DsmSystem, node: NodeId, line: Line) -> MissClass {
+            match (
+                self.seen.get(&(node, line)),
+                d.directory().entry(line).version,
+            ) {
+                (_, 0) => MissClass::Cold,
+                (None, _) => MissClass::Coherence,
+                (Some(&v), cur) if cur > v => MissClass::Coherence,
+                _ => MissClass::Replacement,
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Miss classes from the directory's `held` set equal the
+        /// seen-version rule over random reads, writes, stream fetches,
+        /// installs and sharer drops on a 4-node machine whose tiny
+        /// caches evict often.
+        #[test]
+        fn miss_classes_match_the_seen_version_rule(
+            ops in proptest::collection::vec((0u8..5, 0u16..4, 0u64..40), 0..400),
+        ) {
+            let mut d = dsm();
+            let mut model = SeenModel::default();
+            for (op, node, k) in ops {
+                let (n, l) = (NodeId::new(node), Line::new(k * 16));
+                match op {
+                    0 => {
+                        let expected = model.classify(&d, n, l);
+                        let out = d.read(n, l);
+                        if let Some(class) = out.miss_class() {
+                            proptest::prop_assert_eq!(class, expected);
+                            model.record(&d, n, l);
+                        }
+                    }
+                    1 => {
+                        if !d.write(n, l).silent {
+                            model.record(&d, n, l);
+                        }
+                    }
+                    2 => {
+                        d.stream_fetch(n, l);
+                        model.record(&d, n, l);
+                    }
+                    3 => {
+                        d.install(n, l);
+                        model.record(&d, n, l);
+                    }
+                    _ => d.drop_sharer(n, l),
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,12 +8,12 @@
 
 use crate::{EngineKind, StreamScope};
 use serde::{Deserialize, Serialize};
-use tse_core::{Svb, TemporalStreamingEngine, TseStats};
+use tse_core::{SvbSet, TemporalStreamingEngine, TseStats};
 use tse_interconnect::{TrafficClass, TrafficReport};
 use tse_memsim::{DsmSystem, MemStats, MissClass};
 use tse_prefetch::{GhbPrefetcher, Prefetcher, StridePrefetcher};
 use tse_trace::{interleave, AccessKind, AccessRecord, Consumption, SpinFilter};
-use tse_types::{ConfigError, Cycle, NodeId, SystemConfig};
+use tse_types::{ConfigError, Cycle, Line, NodeId, SystemConfig};
 use tse_workloads::Workload;
 
 /// Configuration of one simulation run.
@@ -98,17 +98,40 @@ impl RunResult {
     }
 }
 
-/// Per-node state for baseline-prefetcher runs: the predictor plus its
-/// prefetch buffer (identical to the TSE's SVB, per Section 5.5).
-pub(crate) struct PfNode {
-    pub(crate) predictor: Box<dyn Prefetcher>,
-    pub(crate) buffer: Svb,
+/// State of a baseline-prefetcher run: one predictor per node plus the
+/// nodes' prefetch buffers (identical to the TSE's SVBs, per Section
+/// 5.5).
+pub(crate) struct Prefetchers {
+    pub(crate) predictors: Vec<Box<dyn Prefetcher>>,
+    pub(crate) buffers: SvbSet,
+}
+
+impl Prefetchers {
+    fn new(
+        nodes: usize,
+        buffer: Option<usize>,
+        predictor: impl Fn() -> Box<dyn Prefetcher>,
+    ) -> Self {
+        Prefetchers {
+            predictors: (0..nodes).map(|_| predictor()).collect(),
+            buffers: SvbSet::new(nodes, buffer),
+        }
+    }
+
+    /// A write by any processor: every buffered copy of `line` becomes
+    /// a discard (the write already removed its sharer registrations).
+    pub(crate) fn write(&mut self, dsm: &mut DsmSystem, stats: &mut TseStats, line: Line) {
+        self.buffers.invalidate(line, |node, entry| {
+            stats.discarded += 1;
+            dsm.account_fill_traffic(node, entry.fill, TrafficClass::DiscardedData);
+        });
+    }
 }
 
 pub(crate) enum Engine {
     Baseline,
     Tse(Box<TemporalStreamingEngine>),
-    Prefetch(Vec<PfNode>),
+    Prefetch(Prefetchers),
 }
 
 /// Instantiates the engine beside the cache hierarchy, shared by the
@@ -124,27 +147,19 @@ pub(crate) fn build_engine(
         EngineKind::Tse(tse_cfg) => {
             Engine::Tse(Box::new(TemporalStreamingEngine::new(sys, tse_cfg)?))
         }
-        EngineKind::Stride { depth, buffer } => Engine::Prefetch(
-            (0..nodes)
-                .map(|_| PfNode {
-                    predictor: Box::new(StridePrefetcher::new(*depth)),
-                    buffer: Svb::new(*buffer),
-                })
-                .collect(),
-        ),
+        EngineKind::Stride { depth, buffer } => {
+            Engine::Prefetch(Prefetchers::new(nodes, *buffer, || {
+                Box::new(StridePrefetcher::new(*depth))
+            }))
+        }
         EngineKind::Ghb {
             indexing,
             entries,
             width,
             buffer,
-        } => Engine::Prefetch(
-            (0..nodes)
-                .map(|_| PfNode {
-                    predictor: Box::new(GhbPrefetcher::new(*indexing, *entries, *width)),
-                    buffer: Svb::new(*buffer),
-                })
-                .collect(),
-        ),
+        } => Engine::Prefetch(Prefetchers::new(nodes, *buffer, || {
+            Box::new(GhbPrefetcher::new(*indexing, *entries, *width))
+        })),
     })
 }
 
@@ -176,20 +191,16 @@ pub(crate) fn finish_run(
             tse.finish(&mut dsm);
             ("TSE".to_string(), tse.stats().clone())
         }
-        Engine::Prefetch(pf) => {
-            let mut name = String::new();
-            for (n, mut p) in pf.into_iter().enumerate() {
-                name = p.predictor.name().to_string();
-                for entry in p.buffer.drain() {
+        Engine::Prefetch(mut pf) => {
+            for n in 0..pf.predictors.len() {
+                let node = NodeId::new(n as u16);
+                for entry in pf.buffers.drain(node) {
                     baseline_stats.discarded += 1;
-                    dsm.account_fill_traffic(
-                        NodeId::new(n as u16),
-                        entry.fill,
-                        TrafficClass::DiscardedData,
-                    );
-                    dsm.drop_sharer(NodeId::new(n as u16), entry.line);
+                    dsm.account_fill_traffic(node, entry.fill, TrafficClass::DiscardedData);
+                    dsm.drop_sharer(node, entry.line);
                 }
             }
+            let name = pf.predictors.last().map_or("", |p| p.name()).to_string();
             (name, baseline_stats)
         }
     };
@@ -309,18 +320,7 @@ pub fn run_interleaved_reference(
                 match &mut engine {
                     Engine::Baseline => {}
                     Engine::Tse(tse) => tse.write(&mut dsm, rec.line),
-                    Engine::Prefetch(pf) => {
-                        for (n, p) in pf.iter_mut().enumerate() {
-                            if let Some(entry) = p.buffer.invalidate(rec.line) {
-                                baseline_stats.discarded += 1;
-                                dsm.account_fill_traffic(
-                                    NodeId::new(n as u16),
-                                    entry.fill,
-                                    TrafficClass::DiscardedData,
-                                );
-                            }
-                        }
-                    }
+                    Engine::Prefetch(pf) => pf.write(&mut dsm, &mut baseline_stats, rec.line),
                 }
             }
             AccessKind::Read => {
@@ -376,7 +376,7 @@ pub fn run_interleaved_reference(
                     }
                     Engine::Prefetch(pf) => {
                         let n = rec.node.index();
-                        if let Some(entry) = pf[n].buffer.take(rec.line) {
+                        if let Some(entry) = pf.buffers.take(rec.node, rec.line) {
                             // Prefetch-buffer hit: a covered consumption.
                             baseline_stats.covered += 1;
                             dsm.account_fill_traffic(rec.node, entry.fill, TrafficClass::Demand);
@@ -384,7 +384,7 @@ pub fn run_interleaved_reference(
                             // Train (keep history contiguous) but do not
                             // chain: fixed-depth engines fetch only in
                             // response to misses (Section 5.5).
-                            let _ = pf[n].predictor.on_miss(rec.line);
+                            let _ = pf.predictors[n].on_miss(rec.line);
                             continue;
                         }
                         let miss = dsm.read_miss(rec.node, rec.line);
@@ -397,15 +397,18 @@ pub fn run_interleaved_reference(
                             continue;
                         }
                         baseline_stats.uncovered += 1;
-                        let predicted = pf[n].predictor.on_miss(rec.line);
+                        let predicted = pf.predictors[n].on_miss(rec.line);
                         for line in predicted {
-                            if dsm.peek_local(rec.node, line) || pf[n].buffer.contains(line) {
+                            if dsm.peek_local(rec.node, line) || pf.buffers.contains(rec.node, line)
+                            {
                                 baseline_stats.skipped_fetches += 1;
                                 continue;
                             }
                             let fill = dsm.stream_fetch(rec.node, line);
                             baseline_stats.fetched += 1;
-                            if let Some(victim) = pf[n].buffer.insert(line, 0, fill, Cycle::ZERO) {
+                            if let Some(victim) =
+                                pf.buffers.insert(rec.node, line, 0, fill, Cycle::ZERO)
+                            {
                                 baseline_stats.discarded += 1;
                                 dsm.account_fill_traffic(
                                     rec.node,

@@ -34,7 +34,7 @@
 //! (`tests/batched_equivalence.rs` asserts this per engine, plus a
 //! property test over random traces).
 
-use crate::harness::{build_engine, finish_run, spin_filtering_for, Engine, PfNode};
+use crate::harness::{build_engine, finish_run, spin_filtering_for, Engine, Prefetchers};
 use crate::{RunConfig, RunResult, StreamScope};
 use tse_core::TseStats;
 use tse_interconnect::TrafficClass;
@@ -291,7 +291,7 @@ fn baseline_slice(
 /// only in response to misses. Returns the slice's spin-miss count.
 fn prefetch_slice(
     dsm: &mut DsmSystem,
-    pf: &mut [PfNode],
+    pf: &mut Prefetchers,
     spin_filter: &mut SpinFilter,
     stats: &mut TseStats,
     lowered: &LoweredBlock,
@@ -304,16 +304,7 @@ fn prefetch_slice(
         let line = Line::new(lines[i]);
         if ops[i] & OP_WRITE != 0 {
             dsm.write(node, line);
-            for (n, p) in pf.iter_mut().enumerate() {
-                if let Some(entry) = p.buffer.invalidate(line) {
-                    stats.discarded += 1;
-                    dsm.account_fill_traffic(
-                        NodeId::new(n as u16),
-                        entry.fill,
-                        TrafficClass::DiscardedData,
-                    );
-                }
-            }
+            pf.write(dsm, stats, line);
             i += 1;
             continue;
         }
@@ -321,14 +312,14 @@ fn prefetch_slice(
         dsm.count_read();
         if dsm.probe_local(node, line).is_none() {
             let n = node.index();
-            if let Some(entry) = pf[n].buffer.take(line) {
+            if let Some(entry) = pf.buffers.take(node, line) {
                 // Prefetch-buffer hit: a covered consumption. Train
                 // (keep history contiguous) but do not chain:
                 // fixed-depth engines fetch only in response to misses.
                 stats.covered += 1;
                 dsm.account_fill_traffic(node, entry.fill, TrafficClass::Demand);
                 dsm.install(node, line);
-                let _ = pf[n].predictor.on_miss(line);
+                let _ = pf.predictors[n].on_miss(line);
             } else {
                 let miss = dsm.read_miss(node, line);
                 if miss.class == MissClass::Coherence {
@@ -337,15 +328,17 @@ fn prefetch_slice(
                         spins += 1;
                     } else {
                         stats.uncovered += 1;
-                        let predicted = pf[n].predictor.on_miss(line);
+                        let predicted = pf.predictors[n].on_miss(line);
                         for pline in predicted {
-                            if dsm.peek_local(node, pline) || pf[n].buffer.contains(pline) {
+                            if dsm.peek_local(node, pline) || pf.buffers.contains(node, pline) {
                                 stats.skipped_fetches += 1;
                                 continue;
                             }
                             let fill = dsm.stream_fetch(node, pline);
                             stats.fetched += 1;
-                            if let Some(victim) = pf[n].buffer.insert(pline, 0, fill, Cycle::ZERO) {
+                            if let Some(victim) =
+                                pf.buffers.insert(node, pline, 0, fill, Cycle::ZERO)
+                            {
                                 stats.discarded += 1;
                                 dsm.account_fill_traffic(
                                     node,
