@@ -36,6 +36,7 @@ pub const REQUIRED_GROUPS: &[&str] = &[
     "dsm",
     "sweep",
     "trace_plane",
+    "json",
 ];
 
 /// Kernels whose benchmark bodies *and* measured code paths have been
@@ -75,6 +76,7 @@ pub fn measure(quick: bool) -> Value {
     crate::kernels::all(&mut c);
     crate::sweep::all(&mut c);
     crate::trace_plane::all(&mut c);
+    crate::json::all(&mut c);
 
     let mut groups: Vec<(String, Vec<(String, Value)>)> = Vec::new();
     for r in c.results() {
@@ -538,6 +540,7 @@ mod tests {
                 "prefetchers" => ("prefetchers/stride_on_miss", 1.0),
                 "dsm" => ("dsm/x", 1.0),
                 "sweep" => ("sweep/x", 1.0),
+                "json" => ("json/x", 1.0),
                 _ => ("trace_plane/x", 1.0),
             }
         }));

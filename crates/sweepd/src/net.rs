@@ -1,21 +1,22 @@
 //! Transport for the daemon protocol: TCP or Unix-domain sockets.
 //!
 //! An endpoint spec containing a `/` names a Unix socket path;
-//! anything else is a TCP address (`host:port`). The server runs a
-//! nonblocking accept loop so a `shutdown` request is honoured
-//! promptly, handling each connection on its own thread; in-flight
-//! connections (including jobs still executing after an un-waited
-//! `submit`) are drained before [`serve`] returns.
+//! anything else is a TCP address (`host:port`). The server blocks in
+//! `accept` and handles each connection on its own thread. A `shutdown`
+//! request raises the service's flag and then connects once to the
+//! listener's own address, which wakes the blocked `accept` so the loop
+//! sees the flag at once; in-flight connections (including jobs still
+//! executing after an un-waited `submit`) are drained before [`serve`]
+//! returns.
 
 use crate::proto::{Request, Response, PROTO_VERSION};
 use crate::service::{JobState, SweepService};
 use std::io::{Read, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Where a daemon listens (or a client connects).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,14 +61,6 @@ pub(crate) enum Conn {
 }
 
 impl Conn {
-    fn set_blocking(&self) -> std::io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.set_nonblocking(false),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.set_nonblocking(false),
-        }
-    }
-
     pub(crate) fn shutdown_write(&self) -> std::io::Result<()> {
         match self {
             Conn::Tcp(s) => s.shutdown(Shutdown::Write),
@@ -107,18 +100,12 @@ impl Write for Conn {
 
 fn bind(endpoint: &Endpoint) -> std::io::Result<Listener> {
     match endpoint {
-        Endpoint::Tcp(addr) => {
-            let l = TcpListener::bind(addr.as_str())?;
-            l.set_nonblocking(true)?;
-            Ok(Listener::Tcp(l))
-        }
+        Endpoint::Tcp(addr) => Ok(Listener::Tcp(TcpListener::bind(addr.as_str())?)),
         #[cfg(unix)]
         Endpoint::Unix(path) => {
             // A stale socket file from a previous daemon blocks bind.
             let _ = std::fs::remove_file(path);
-            let l = UnixListener::bind(path)?;
-            l.set_nonblocking(true)?;
-            Ok(Listener::Unix(l))
+            Ok(Listener::Unix(UnixListener::bind(path)?))
         }
         #[cfg(not(unix))]
         Endpoint::Unix(_) => Err(std::io::Error::new(
@@ -136,33 +123,56 @@ impl Listener {
             Listener::Unix(l) => l.accept().map(|(s, _)| Conn::Unix(s)),
         }
     }
+
+    /// Where a connect reaches this listener: the bound TCP address (so
+    /// a `:0` bind yields its assigned port, and an unspecified host the
+    /// loopback address) or the Unix socket path `endpoint` named.
+    fn wake_endpoint(&self, endpoint: &Endpoint) -> std::io::Result<Endpoint> {
+        match self {
+            Listener::Tcp(l) => {
+                let mut addr = l.local_addr()?;
+                if addr.ip().is_unspecified() {
+                    addr.set_ip(match addr {
+                        SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                        SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                    });
+                }
+                Ok(Endpoint::Tcp(addr.to_string()))
+            }
+            #[cfg(unix)]
+            Listener::Unix(_) => Ok(endpoint.clone()),
+        }
+    }
 }
 
-/// Runs the accept loop until the service's shutdown flag is raised
-/// (by a `shutdown` request or by the caller). Each connection is
-/// handled on its own thread; on exit, in-flight handlers are joined,
-/// the cache index is saved, and a Unix socket file is removed.
+/// Runs the accept loop until a `shutdown` request arrives. The loop
+/// blocks in `accept` and checks the service's shutdown flag each time
+/// it returns; the `shutdown` handler raises the flag and then connects
+/// once to the listener's own address to wake it. That connection is
+/// dropped unserved. (Raising the flag with
+/// [`SweepService::request_shutdown`] alone takes effect at the next
+/// connection.) Each connection is handled on its own thread; on exit,
+/// in-flight handlers are joined, the cache index is saved, and a Unix
+/// socket file is removed.
 ///
 /// # Errors
 ///
-/// Binding or accepting failures other than `WouldBlock`.
+/// Binding or accepting failures.
 pub fn serve(service: &Arc<SweepService>, endpoint: &Endpoint) -> std::io::Result<()> {
     let listener = bind(endpoint)?;
+    let wake = Arc::new(listener.wake_endpoint(endpoint)?);
     let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
     let result = loop {
+        let conn = match listener.accept() {
+            Ok(conn) => conn,
+            Err(e) => break Err(e),
+        };
         if service.shutdown_requested() {
             break Ok(());
         }
-        match listener.accept() {
-            Ok(conn) => {
-                let svc = Arc::clone(service);
-                handlers.push(std::thread::spawn(move || handle(&svc, conn)));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(25));
-            }
-            Err(e) => break Err(e),
-        }
+        let svc = Arc::clone(service);
+        let wake = Arc::clone(&wake);
+        handlers.push(std::thread::spawn(move || handle(&svc, &wake, conn)));
         handlers.retain(|h| !h.is_finished());
     };
     for h in handlers {
@@ -220,9 +230,8 @@ pub(crate) fn read_line(conn: &mut impl Read, line: &mut String) -> std::io::Res
 /// Reads one request, answers it, then performs any deferred work (an
 /// un-waited `submit` runs its job *after* the response is on the
 /// wire, so the client is never blocked on simulation it didn't ask to
-/// wait for).
-fn handle(service: &Arc<SweepService>, mut conn: Conn) {
-    let _ = conn.set_blocking();
+/// wait for). `wake` is the listener's own address (see [`serve`]).
+fn handle(service: &Arc<SweepService>, wake: &Endpoint, mut conn: Conn) {
     let mut text = String::new();
     if read_line(&mut conn, &mut text).is_err() {
         return;
@@ -237,7 +246,7 @@ fn handle(service: &Arc<SweepService>, mut conn: Conn) {
     if conn.read_to_string(&mut text).is_err() {
         return;
     }
-    let (response, run_after) = dispatch(service, &text);
+    let (response, run_after) = dispatch(service, wake, &text);
     let body = serde_json::to_string_pretty(&response)
         .unwrap_or_else(|_| "{\"v\":1,\"ok\":false}".to_string());
     let _ = conn.write_all(body.as_bytes());
@@ -251,7 +260,7 @@ fn handle(service: &Arc<SweepService>, mut conn: Conn) {
 
 /// Parses and executes one request. Returns the response plus the id of
 /// a job to run after replying (un-waited submits).
-fn dispatch(service: &Arc<SweepService>, text: &str) -> (Response, Option<u64>) {
+fn dispatch(service: &Arc<SweepService>, wake: &Endpoint, text: &str) -> (Response, Option<u64>) {
     let request: Request = match serde_json::from_str(text) {
         Ok(r) => r,
         Err(e) => return (Response::failure(format!("bad request: {e}")), None),
@@ -322,6 +331,8 @@ fn dispatch(service: &Arc<SweepService>, text: &str) -> (Response, Option<u64>) 
         },
         "shutdown" => {
             service.request_shutdown();
+            // Wake the accept loop; it sees the flag and stops.
+            let _ = connect(wake);
             (Response::success(), None)
         }
         other => (
@@ -373,4 +384,29 @@ pub fn request(endpoint: &Endpoint, request: &Request) -> std::io::Result<Respon
     serde_json::from_str(&reply).map_err(|e| {
         std::io::Error::new(std::io::ErrorKind::InvalidData, format!("bad reply: {e}"))
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The wake-up connect must reach a `:0` bind on its assigned port,
+    /// and an unspecified bind through loopback.
+    #[test]
+    fn wake_endpoint_reaches_the_tcp_listener() {
+        for spec in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let endpoint = Endpoint::parse(spec);
+            let listener = bind(&endpoint).unwrap();
+            let wake = listener.wake_endpoint(&endpoint).unwrap();
+            let Endpoint::Tcp(addr) = &wake else {
+                panic!("{spec}: wake endpoint {wake:?} is not TCP")
+            };
+            assert!(
+                addr.starts_with("127.0.0.1:") && !addr.ends_with(":0"),
+                "{spec} -> {addr}"
+            );
+            connect(&wake).unwrap();
+            listener.accept().unwrap();
+        }
+    }
 }

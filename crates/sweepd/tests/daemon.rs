@@ -242,3 +242,46 @@ fn protocol_rejects_what_it_cannot_serve() {
 
     daemon.stop();
 }
+
+/// `serve` blocks in `accept`, so a `shutdown` request must wake it: it
+/// has to return within a bound. A lost wake-up fails here instead of
+/// hanging the test run.
+#[test]
+fn serve_returns_promptly_after_shutdown() {
+    let scratch = ScratchDir::new("wake");
+    let corpus = build_corpus(&scratch.0.join("traces"));
+    let service = Arc::new(SweepService::new(
+        Arc::new(CorpusRunner::new(corpus)),
+        ResultCache::open(scratch.0.join("cache")).unwrap(),
+        ServiceConfig {
+            workers: 1,
+            retries: 0,
+            timeout: Duration::from_secs(60),
+        },
+    ));
+    let socket = scratch.0.join("wake.sock");
+    let endpoint = Endpoint::parse(&socket.display().to_string());
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let ep = endpoint.clone();
+    let server = std::thread::spawn(move || {
+        let _ = done_tx.send(net::serve(&service, &ep));
+    });
+    for _ in 0..200 {
+        if net::request(&endpoint, &Request::new("ping")).is_ok() {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(25));
+    }
+    assert!(net::request(&endpoint, &Request::new("ping")).unwrap().ok);
+    assert!(
+        net::request(&endpoint, &Request::new("shutdown"))
+            .unwrap()
+            .ok
+    );
+    let served = done_rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("serve must return within 5 s of a shutdown request");
+    served.expect("serve exits cleanly");
+    server.join().unwrap();
+    assert!(!socket.exists(), "the socket file is removed on exit");
+}
